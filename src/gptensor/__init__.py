@@ -23,7 +23,7 @@ from .rank import (
 from .refine import RefineOptions, refine_nonsym, refine_sym
 from .symapprox import SymApproxResult, approx_sym, rank1_closed_form, reconstruct_sym
 from .tensorio import FormatError, parse_report, read_tensor, write_report, write_tensor
-from .tensors import DenseTensor, SymTensor, outer_product, sym_power, tensor_norm
+from .tensors import DenseTensor, SymTensor, outer_product, sym_power
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "SymTensor",
     "outer_product",
     "sym_power",
-    "tensor_norm",
     "approx_sym",
     "approx_nonsym",
     "SymApproxResult",

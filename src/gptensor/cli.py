@@ -52,7 +52,7 @@ def _cmd_approx_sym(args) -> int:
     meta = {
         "kind": "sym",
         "order": F.m,
-        "dims": ",".join(str(F.n) for _ in range(F.m)),
+        "dims": (F.n,) * F.m,
         "rank": args.rank,
         "seed": args.seed,
     }
@@ -84,7 +84,7 @@ def _cmd_approx_ns(args) -> int:
     meta = {
         "kind": "dense",
         "order": F.order,
-        "dims": ",".join(str(d) for d in F.dims),
+        "dims": F.dims,
         "rank": args.rank,
         "seed": args.seed,
     }
@@ -93,7 +93,7 @@ def _cmd_approx_ns(args) -> int:
         "refined": res.refined,
         "xi_seed": res.diagnostics.get("xi_seed", args.seed),
         "suggested_rank": -1 if spec.suggested_rank is None else spec.suggested_rank,
-        "mode_permutation": ",".join(str(p + 1) for p in res.mode_permutation),
+        "mode_permutation": tuple(p + 1 for p in res.mode_permutation),
     }
     if res.refined:
         result["residual_opt"] = res.residual_opt
@@ -116,11 +116,11 @@ def _cmd_rank_est(args) -> int:
         if args.split:
             raise ValueError("--split applies only to dense tensors")
         spec = spectrum_sym(F, **kwargs)
-        meta = {"kind": "sym", "order": F.m, "dims": ",".join(str(F.n) for _ in range(F.m))}
+        meta = {"kind": "sym", "order": F.m, "dims": (F.n,) * F.m}
     else:
         split = _parse_split(args.split) if args.split else None
         spec = spectrum_ns(F, split=split, **kwargs)
-        meta = {"kind": "dense", "order": F.order, "dims": ",".join(str(d) for d in F.dims)}
+        meta = {"kind": "dense", "order": F.order, "dims": F.dims}
     sections = {
         "spectrum": {
             "singular_values": [complex(v) for v in spec.singular_values],

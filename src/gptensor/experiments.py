@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generate import gen_random_ns, gen_random_sym
+from .linalg import NumericalError
 from .nonsymapprox import approx_nonsym
 from .symapprox import approx_sym
 
@@ -48,7 +49,7 @@ class TrialResult:
     relerr: float | None
     rel_residual: float | None
     wall_time: float
-    error: str | None = None
+    error: str | None = None  # "<exception type>: <message>" when the trial failed
 
 
 @dataclass
@@ -102,8 +103,10 @@ def _run_trial(spec: InstanceSpec, trial_seed: int) -> TrialResult:
         return TrialResult(
             trial_seed, res.residual_gp, res.residual_opt, None, res.residual_gp / F.norm(), wall
         )
-    except Exception as exc:  # recorded, never aborts the batch
-        return TrialResult(trial_seed, None, None, None, None, time.perf_counter() - t0, str(exc))
+    except (ValueError, NumericalError, np.linalg.LinAlgError) as exc:
+        # a failed solve is recorded and the batch goes on; any other exception is a bug
+        error = f"{type(exc).__name__}: {exc}"
+        return TrialResult(trial_seed, None, None, None, None, time.perf_counter() - t0, error)
 
 
 def trial_seeds(seed: int, trials: int) -> list[int]:

@@ -12,7 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-__all__ = ["SchurPair", "lstsq_min_norm", "svd", "schur", "NumericalError", "DEFAULT_RCOND"]
+__all__ = [
+    "SchurPair",
+    "lstsq_min_norm",
+    "svd",
+    "schur",
+    "positive_combination",
+    "joint_eigenvalues",
+    "NumericalError",
+    "DEFAULT_RCOND",
+]
 
 DEFAULT_RCOND = 1e-12
 
@@ -80,3 +89,55 @@ def schur(M: np.ndarray) -> SchurPair:
     except Exception as exc:  # scipy raises LinAlgError on QR iteration failure
         raise NumericalError(f"Schur decomposition failed: {exc}") from exc
     return SchurPair(Q=Q, T=np.triu(T))
+
+
+def positive_combination(mats: np.ndarray, xi) -> np.ndarray:
+    """sum_k xi_k M_k for a (K, r, r) stack and K strictly positive weights summing to 1."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    xi = np.asarray(xi, dtype=np.float64)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[0] < 1:
+        raise ValueError(f"need a nonempty (K, r, r) stack of matrices, got shape {mats.shape}")
+    if xi.shape != mats.shape[:1] or np.any(xi <= 0) or abs(xi.sum() - 1.0) > 1e-9:
+        raise ValueError(f"xi must be {mats.shape[0]} strictly positive weights summing to 1")
+    return np.tensordot(xi, mats, axes=1)
+
+
+def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
+    """Joint eigenvalues of a (nearly) commuting family of r x r matrices.
+
+    `pair` is the Schur decomposition of a positive combination of the
+    (K, r, r) stack `mats` (see `positive_combination`).  When the family
+    commutes its Schur vectors q_s triangularize every M_k, so the Rayleigh
+    quotients q_s* M_k q_s are the eigenvalues of M_k belonging to the s-th
+    common eigenvector (Corless, Gianni & Trager, ISSAC 1997).  Returns
+    (values, diagnostics) with values of shape (r, K).  The diagnostics say
+    how far to trust them:
+
+    - commutator: max_{a<b} ||M_a M_b - M_b M_a||_F / max(1, max_k ||M_k||_F)^2;
+    - eigengap: min_{a<b} |lambda_a - lambda_b| / max(1, max |lambda|) over the
+      eigenvalues of the combination, inf when r = 1;
+    - low_confidence: eigengap < 1e-8 or commutator > 1e-6.
+    """
+    mats = np.asarray(mats, dtype=np.complex128)
+    Q = pair.Q
+    values = np.einsum("is,kij,js->sk", Q.conj(), mats, Q, optimize=True)
+
+    scale = max(1.0, np.linalg.norm(mats, axis=(1, 2)).max())
+    comm = 0.0
+    # one row of pairs at a time keeps memory at K r^2, not the K^2 r^2 of a full batch
+    for a in range(len(mats) - 1):
+        rest = mats[a + 1 :]
+        comm = max(comm, np.linalg.norm(mats[a] @ rest - rest @ mats[a], axis=(1, 2)).max())
+    comm /= scale**2
+    eig = pair.eigenvalues
+    if len(eig) > 1:
+        gaps = np.abs(eig[:, None] - eig[None, :])[np.triu_indices(len(eig), 1)]
+        gap = gaps.min() / max(1.0, np.max(np.abs(eig)))
+    else:
+        gap = np.inf
+    diagnostics = {
+        "commutator": float(comm),
+        "eigengap": float(gap),
+        "low_confidence": bool(gap < 1e-8 or comm > 1e-6),
+    }
+    return values, diagnostics

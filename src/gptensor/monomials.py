@@ -10,7 +10,6 @@ x1*x2, ...
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -19,10 +18,8 @@ import numpy as np
 __all__ = [
     "monomials_exact",
     "monomials_upto",
-    "count_upto",
     "grlex_key",
     "multiindex_to_power",
-    "power_to_multiindices",
     "multiplicity",
     "multiplicities",
 ]
@@ -49,11 +46,6 @@ def monomials_upto(nvars: int, deg: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def count_upto(nvars: int, deg: int) -> int:
-    """|{alpha in N^nvars : |alpha| <= deg}| = C(nvars + deg, deg)."""
-    return math.comb(nvars + deg, deg)
-
-
 def grlex_key(alpha):
     """Sort key realizing the graded-lex order with x1 > x2 > ...  ."""
     return (sum(alpha), tuple(-a for a in alpha))
@@ -72,22 +64,6 @@ def multiindex_to_power(idx, n: int) -> tuple[int, ...]:
         if i >= 2:
             alpha[i - 2] += 1
     return tuple(alpha)
-
-
-def power_to_multiindices(alpha, m: int):
-    """All multi-indices (1-based, length m) mapping to `alpha`, with their count.
-
-    Returns (indices, count) where count = m! / (a0! * a1! * ... ) and
-    a0 = m - |alpha|.
-    """
-    total = sum(alpha)
-    if total > m:
-        raise ValueError(f"|alpha| = {total} exceeds order {m}")
-    base = [1] * (m - total)
-    for k, a in enumerate(alpha):
-        base.extend([k + 2] * a)
-    indices = sorted(set(itertools.permutations(base)))
-    return indices, multiplicity(alpha, m)
 
 
 def multiplicity(alpha, m: int) -> int:

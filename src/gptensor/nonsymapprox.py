@@ -15,7 +15,8 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_RCOND, lstsq_min_norm, schur
+from .linalg import DEFAULT_RCOND, joint_eigenvalues, lstsq_min_norm, positive_combination, schur
+from .refine import refine_if_helps, refine_nonsym
 from .tensors import DenseTensor
 
 __all__ = [
@@ -134,56 +135,31 @@ def build_mjk(gm: NsGenMatrix, j: int, k: int) -> np.ndarray:
     return block[:, :, k - 1].T  # rows i, columns ell
 
 
+def _pairs(dims) -> list:
+    """The (j, k) index set of the matrices M_{j,k}, j = 2..m, k = 1..n_j - 1."""
+    return [(j, k) for j in range(2, len(dims) + 1) for k in range(1, dims[j - 1])]
+
+
 def extract_modes(gm: NsGenMatrix, xi: dict):
     """Mode-2..m vectors of each rank-1 term from one Schur decomposition.
 
-    `xi` maps (j, k) pairs to strictly positive weights summing to 1.
-    Returns (modes, diagnostics) where modes[s][j] (j = 2..m) is a vector with
-    leading entry 1.
+    `xi` maps every (j, k) pair to a strictly positive weight, the weights
+    summing to 1.  Returns (modes, diagnostics) where modes[s][j] (j = 2..m)
+    is a vector with leading entry 1.
     """
-    r = gm.rank
-    total = sum(xi.values())
-    if abs(total - 1.0) > 1e-9 or any(w <= 0 for w in xi.values()):
-        raise ValueError("xi must be strictly positive weights summing to 1")
-    mats = {(j, k): build_mjk(gm, j, k) for (j, k) in xi}
-    M = sum(w * mats[jk] for jk, w in xi.items())
-    pair = schur(M)
-    modes = []
-    for s in range(r):
-        q = pair.Q[:, s]
-        per_mode = {}
-        for j in range(2, len(gm.dims) + 1):
-            nj = gm.dims[j - 1]
-            v = np.empty(nj, dtype=np.complex128)
-            v[0] = 1.0
-            for k in range(1, nj):
-                v[k] = q.conj() @ build_mjk(gm, j, k) @ q
-            per_mode[j] = v
-        modes.append(per_mode)
-    diagnostics = _ns_diagnostics(mats, pair)
+    pairs = _pairs(gm.dims)
+    if set(xi) != set(pairs):
+        raise ValueError("xi must weight exactly the (j, k) pairs of the generating matrix")
+    mats = np.stack([build_mjk(gm, j, k) for (j, k) in pairs])
+    pair = schur(positive_combination(mats, [xi[p] for p in pairs]))
+    values, diagnostics = joint_eigenvalues(mats, pair)
+    m = len(gm.dims)
+    sizes = [gm.dims[j - 1] - 1 for j in range(2, m + 1)]
+    ones = np.ones((gm.rank, 1), dtype=np.complex128)
+    blocks = np.split(values, np.cumsum(sizes)[:-1], axis=1)
+    per_mode = {j: np.concatenate([ones, b], axis=1) for j, b in zip(range(2, m + 1), blocks)}
+    modes = [{j: v[s] for j, v in per_mode.items()} for s in range(gm.rank)]
     return modes, diagnostics
-
-
-def _ns_diagnostics(mats, pair) -> dict:
-    keys = list(mats)
-    scale = max(1.0, max(np.linalg.norm(mats[k]) for k in keys))
-    comm = 0.0
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            Ma, Mb = mats[keys[a]], mats[keys[b]]
-            comm = max(comm, np.linalg.norm(Ma @ Mb - Mb @ Ma))
-    comm /= scale**2
-    eig = pair.eigenvalues
-    gap = np.inf
-    for a in range(len(eig)):
-        for b in range(a + 1, len(eig)):
-            gap = min(gap, abs(eig[a] - eig[b]))
-    gap_rel = gap / max(1.0, np.max(np.abs(eig))) if len(eig) > 1 else np.inf
-    return {
-        "commutator": float(comm),
-        "eigengap": float(gap_rel) if np.isfinite(gap_rel) else np.inf,
-        "low_confidence": bool(gap_rel < 1e-8 or comm > 1e-6),
-    }
 
 
 def solve_first_mode(F: DenseTensor, modes, rcond: float = DEFAULT_RCOND) -> np.ndarray:
@@ -236,7 +212,7 @@ def rank1_closed_form_ns(F: DenseTensor):
 
 
 def _draw_xi(dims, rng) -> dict:
-    pairs = [(j, k) for j in range(2, len(dims) + 1) for k in range(1, dims[j - 1])]
+    pairs = _pairs(dims)
     w = rng.uniform(size=len(pairs))
     w /= w.sum()
     return dict(zip(pairs, w))
@@ -249,12 +225,13 @@ def approx_nonsym(
     seed: int = 0,
     rcond: float = DEFAULT_RCOND,
     refine_options=None,
-    skip_refine_tol: float = 1e-10,
 ) -> NsApproxResult:
     """Rank-r approximation of a dense tensor of order >= 3.
 
     The result's tuples and tensors are reported in the original mode order;
-    `mode_permutation` records the internal reordering.
+    `mode_permutation` records the internal reordering.  When `refine` is set,
+    a local nonlinear least-squares polish is kept if it does not worsen the
+    residual (see `refine.refine_if_helps`).
     """
     Fp, perm = mode_permute(F)
     if r > Fp.dims[0]:
@@ -282,13 +259,11 @@ def approx_nonsym(
         mode_permutation=perm,
         diagnostics=diagnostics,
     )
-    if refine and residual_gp > skip_refine_tol * F.norm():
-        from .refine import refine_nonsym
-
-        tuples_opt, residual_opt = refine_nonsym(F, tuples, refine_options)
-        if residual_opt <= residual_gp + 1e-12:
-            result.refined = True
-            result.tuples_opt = tuples_opt
-            result.X_opt = reconstruct_ns(tuples_opt)
-            result.residual_opt = residual_opt
+    polished = (
+        refine_if_helps(refine_nonsym, F, tuples, residual_gp, refine_options) if refine else None
+    )
+    if polished is not None:
+        result.refined = True
+        result.tuples_opt, result.residual_opt = polished
+        result.X_opt = reconstruct_ns(result.tuples_opt)
     return result

@@ -22,7 +22,14 @@ __all__ = [
     "ns_residual_map",
     "refine_sym",
     "refine_nonsym",
+    "refine_if_helps",
+    "SKIP_REFINE_TOL",
 ]
+
+# Refinement is skipped when the unrefined residual is at most this fraction
+# of ||F||: the generating-polynomial fit is then already an exact
+# decomposition and there is nothing left to polish.
+SKIP_REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -225,3 +232,18 @@ def refine_nonsym(F: DenseTensor, tuples, options: RefineOptions | None = None):
     )
     c_opt, res_opt, _ = levenberg_marquardt(c0, residual, jacobian, options)
     return unpack(c_opt), res_opt
+
+
+def refine_if_helps(refine_fn, F, start, residual_gp: float, options: RefineOptions | None = None):
+    """Polish `start` with `refine_fn` (refine_sym or refine_nonsym) when worthwhile.
+
+    Returns None when residual_gp <= SKIP_REFINE_TOL * ||F|| or when the
+    polish ends worse than residual_gp (beyond 1e-12); otherwise returns
+    refine_fn's (start_opt, residual_opt).
+    """
+    if residual_gp <= SKIP_REFINE_TOL * F.norm():
+        return None
+    start_opt, residual_opt = refine_fn(F, start, options)
+    if residual_opt > residual_gp + 1e-12:
+        return None
+    return start_opt, residual_opt

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RCOND, lstsq_min_norm, schur
+from .linalg import DEFAULT_RCOND, joint_eigenvalues, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_key, monomials_upto, multiplicities
+from .refine import refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
 
 __all__ = [
@@ -170,48 +171,16 @@ def companion_matrix(gm: SymGenMatrix, i: int) -> np.ndarray:
 def extract_points(gm: SymGenMatrix, xi: np.ndarray):
     """Approximate common zeros of the generating polynomials.
 
-    Forms M(xi) = sum_i xi_i M_{x_i}, takes its Schur decomposition, and reads
-    one point per Schur vector.  Returns (points, diagnostics); points have
-    first coordinate 1.
+    Reads the joint eigenvalues of the companion matrices M_{x_1..x_nbar} off
+    one Schur decomposition of sum_i xi_i M_{x_i}; row s is the point of the
+    s-th Schur vector.  Returns (points, diagnostics); points have first
+    coordinate 1.
     """
-    bases = gm.bases
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (bases.nbar,) or np.any(xi <= 0):
-        raise ValueError(f"xi must be {bases.nbar} strictly positive weights")
-    if abs(xi.sum() - 1.0) > 1e-9:
-        raise ValueError("xi must sum to 1")
-    Ms = [companion_matrix(gm, i) for i in range(1, bases.nbar + 1)]
-    M = sum(x * Mi for x, Mi in zip(xi, Ms))
-    pair = schur(M)
-    r = bases.rank
-    points = np.empty((r, bases.nbar + 1), dtype=np.complex128)
-    points[:, 0] = 1.0
-    for s in range(r):
-        q = pair.Q[:, s]
-        for j, Mj in enumerate(Ms):
-            points[s, j + 1] = q.conj() @ Mj @ q
-    diagnostics = _schur_diagnostics(Ms, pair)
+    Ms = np.stack([companion_matrix(gm, i) for i in range(1, gm.bases.nbar + 1)])
+    pair = schur(positive_combination(Ms, xi))
+    values, diagnostics = joint_eigenvalues(Ms, pair)
+    points = np.concatenate([np.ones((len(values), 1), dtype=np.complex128), values], axis=1)
     return points, diagnostics
-
-
-def _schur_diagnostics(Ms, pair) -> dict:
-    scale = max(1.0, max(np.linalg.norm(Mi) for Mi in Ms))
-    comm = 0.0
-    for a in range(len(Ms)):
-        for b in range(a + 1, len(Ms)):
-            comm = max(comm, np.linalg.norm(Ms[a] @ Ms[b] - Ms[b] @ Ms[a]))
-    comm /= scale**2
-    eig = pair.eigenvalues
-    gap = np.inf
-    for a in range(len(eig)):
-        for b in range(a + 1, len(eig)):
-            gap = min(gap, abs(eig[a] - eig[b]))
-    gap_rel = gap / max(1.0, np.max(np.abs(eig))) if len(eig) > 1 else np.inf
-    return {
-        "commutator": float(comm),
-        "eigengap": float(gap_rel) if np.isfinite(gap_rel) else np.inf,
-        "low_confidence": bool(gap_rel < 1e-8 or comm > 1e-6),
-    }
 
 
 def solve_coefficients(F: SymTensor, points: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
@@ -262,31 +231,6 @@ def _principal_root(lam: complex, m: int) -> complex:
     return np.exp(np.log(complex(lam)) / m)
 
 
-def _points_and_coeffs_from_u(u: np.ndarray, F: SymTensor, rcond: float):
-    """Renormalize generators to leading coordinate 1 and refit coefficients."""
-    pts = np.empty_like(u)
-    for s, us in enumerate(u):
-        if us[0] != 0:
-            pts[s] = us / us[0]
-        else:  # leading coordinate vanished under the inverse transform
-            pts[s] = us
-            pts[s, 0] = 1.0
-    lam = solve_coefficients(F, pts, rcond)
-    return pts, lam
-
-
-def _transform_sym(F: SymTensor, L: np.ndarray) -> SymTensor:
-    """Apply the invertible change of coordinates L to every mode."""
-    if F.n**F.m > 4_000_000:
-        raise ValueError("coordinate-change retry is limited to moderate dense sizes")
-    data = F.to_dense().data
-    for _ in range(F.m):
-        data = np.tensordot(L, data, axes=(1, F.m - 1))
-    from .tensors import DenseTensor
-
-    return SymTensor.from_dense(DenseTensor(data))
-
-
 def approx_sym(
     F: SymTensor,
     r: int,
@@ -294,16 +238,12 @@ def approx_sym(
     seed: int = 0,
     rcond: float = DEFAULT_RCOND,
     refine_options=None,
-    coord_retries: int = 0,
-    skip_refine_tol: float = 1e-10,
 ) -> SymApproxResult:
     """Symmetric rank-r approximation of F.
 
-    Runs the generating-matrix pipeline; when `refine` is set and the
-    unrefined residual is above `skip_refine_tol * ||F||`, a local nonlinear
-    least-squares polish is applied to the rank-1 terms.  `coord_retries`
-    allows additional attempts under random invertible coordinate changes,
-    for tensors whose generators have a vanishing leading coordinate.
+    Runs the generating-matrix pipeline; when `refine` is set, a local
+    nonlinear least-squares polish of the rank-1 terms is kept if it does not
+    worsen the residual (see `refine.refine_if_helps`).
     """
     if F.m < 2:
         raise ValueError("approximation needs order >= 2")
@@ -311,36 +251,14 @@ def approx_sym(
     if not 1 <= r <= nmon:
         raise ValueError(f"rank must be in 1..{nmon}, got {r}")
     rng = np.random.default_rng(seed)
-    norm_f = F.norm()
 
-    best = None
-    for attempt in range(coord_retries + 1):
-        if attempt == 0:
-            L = None
-            target = F
-        else:
-            L = rng.standard_normal((F.n, F.n)) + 1j * rng.standard_normal((F.n, F.n))
-            target = _transform_sym(F, L)
-        gm = solve_generating_matrix(target, r, rcond)
-        xi = rng.uniform(size=F.nbar)
-        xi /= xi.sum()
-        points, diagnostics = extract_points(gm, xi)
-        lam = solve_coefficients(target, points, rcond)
-        if L is not None:
-            u = np.array(
-                [_principal_root(l, F.m) * v for l, v in zip(lam, points)], dtype=np.complex128
-            )
-            u = np.linalg.solve(L, u.T).T
-            points, lam = _points_and_coeffs_from_u(u, F, rcond)
-        X_gp = reconstruct_sym(points, lam, F.n, F.m)
-        residual = (F - X_gp).norm()
-        diagnostics = dict(diagnostics, xi_seed=seed, attempt=attempt)
-        if best is None or residual < best[0]:
-            best = (residual, points, lam, X_gp, diagnostics)
-        if best[0] <= 1e-8 * max(norm_f, 1e-300):
-            break
-
-    residual_gp, points, lam, X_gp, diagnostics = best
+    gm = solve_generating_matrix(F, r, rcond)
+    xi = rng.uniform(size=F.nbar)
+    xi /= xi.sum()
+    points, diagnostics = extract_points(gm, xi)
+    lam = solve_coefficients(F, points, rcond)
+    X_gp = reconstruct_sym(points, lam, F.n, F.m)
+    residual_gp = (F - X_gp).norm()
     u_ls = np.array([_principal_root(l, F.m) * v for l, v in zip(lam, points)], dtype=np.complex128)
     result = SymApproxResult(
         rank=r,
@@ -349,16 +267,12 @@ def approx_sym(
         u_ls=u_ls,
         X_gp=X_gp,
         residual_gp=residual_gp,
-        diagnostics=diagnostics,
+        diagnostics=dict(diagnostics, xi_seed=seed),
     )
 
-    if refine and residual_gp > skip_refine_tol * norm_f:
-        from .refine import refine_sym
-
-        u_opt, residual_opt = refine_sym(F, u_ls, refine_options)
-        if residual_opt <= residual_gp + 1e-12:
-            result.refined = True
-            result.u_opt = u_opt
-            result.X_opt = reconstruct_sym(u_opt, np.ones(r), F.n, F.m)
-            result.residual_opt = residual_opt
+    polished = refine_if_helps(refine_sym, F, u_ls, residual_gp, refine_options) if refine else None
+    if polished is not None:
+        result.refined = True
+        result.u_opt, result.residual_opt = polished
+        result.X_opt = reconstruct_sym(result.u_opt, np.ones(r), F.n, F.m)
     return result

@@ -15,6 +15,9 @@ parsed back losslessly (floats are written with 17 significant digits).
 
 from __future__ import annotations
 
+import cmath
+import operator
+
 import numpy as np
 
 from .tensors import DenseTensor, SymTensor
@@ -78,6 +81,21 @@ def _parse_header(line: str):
     return kind, order, dims
 
 
+def _parse_entry(ln: str, count: int, what: str):
+    """Split an entry line into `count` integers and a finite complex value."""
+    parts = ln.split()
+    if len(parts) != count + 2:
+        raise FormatError(f"expected {count} {what} + re + im, got line {ln!r}")
+    try:
+        ints = tuple(map(int, parts[:count]))
+        value = complex(float(parts[-2]), float(parts[-1]))
+    except ValueError as exc:
+        raise FormatError(f"bad entry line {ln!r}") from exc
+    if not cmath.isfinite(value):
+        raise FormatError(f"non-finite value in entry line {ln!r}")
+    return ints, value
+
+
 def read_tensor(path):
     """Parse a tensor file into a SymTensor or DenseTensor."""
     with open(path, encoding="utf-8") as fh:
@@ -93,39 +111,26 @@ def read_tensor(path):
         t = SymTensor.zeros(n, m)
         seen = set()
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != (n - 1) + 2:
-                raise FormatError(f"expected {n - 1} exponents + re + im, got line {ln!r}")
-            try:
-                alpha = tuple(int(p) for p in parts[: n - 1])
-                re, im = float(parts[-2]), float(parts[-1])
-            except ValueError as exc:
-                raise FormatError(f"bad entry line {ln!r}") from exc
+            alpha, value = _parse_entry(ln, n - 1, "exponents")
             if any(a < 0 for a in alpha) or sum(alpha) > m:
                 raise FormatError(f"power vector {alpha} out of range for m={m}")
             if alpha in seen:
                 raise FormatError(f"duplicate entry for power vector {alpha}")
             seen.add(alpha)
-            t.values[t.position(alpha)] = complex(re, im)
+            t.values[t.position(alpha)] = value
         return t
-    arr = np.zeros(dims, dtype=np.complex128)
+    # 1-based indices address an array one larger per mode; its index-0 planes stay zero
+    arr = np.zeros(tuple(d + 1 for d in dims), dtype=np.complex128)
     seen = set()
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != order + 2:
-            raise FormatError(f"expected {order} indices + re + im, got line {ln!r}")
-        try:
-            idx = tuple(int(p) - 1 for p in parts[:order])
-            re, im = float(parts[-2]), float(parts[-1])
-        except ValueError as exc:
-            raise FormatError(f"bad entry line {ln!r}") from exc
-        if any(not 0 <= i < d for i, d in zip(idx, dims)):
-            raise FormatError(f"index {tuple(i + 1 for i in idx)} out of range for dims {dims}")
+        idx, value = _parse_entry(ln, order, "indices")
+        if min(idx) < 1 or any(map(operator.gt, idx, dims)):
+            raise FormatError(f"index {idx} out of range for dims {dims}")
         if idx in seen:
-            raise FormatError(f"duplicate entry at index {tuple(i + 1 for i in idx)}")
+            raise FormatError(f"duplicate entry at index {idx}")
         seen.add(idx)
-        arr[idx] = complex(re, im)
-    return DenseTensor(arr)
+        arr[idx] = value
+    return DenseTensor(arr[(slice(1, None),) * order])
 
 
 def _vec_str(v) -> str:
@@ -143,8 +148,11 @@ def _vec_parse(s: str) -> np.ndarray:
 def render_report(meta: dict, sections: dict) -> str:
     """Render a structured report: a [meta] block then the given sections.
 
-    Values may be scalars (stringified), floats (17 digits), or 1-D complex
-    arrays (semicolon-separated re,im pairs).
+    Each value kind has its own syntax, so `parse_report` returns the same
+    kind: true/false for bools, digits for ints, 17 significant digits with a
+    point or an exponent for floats, `(a,b,...)` for sequences of ints,
+    semicolon-separated re,im pairs for other 1-D arrays (complex vectors),
+    and strings verbatim.
     """
     lines = ["REPORT v1", "[meta]"]
     for k, v in meta.items():
@@ -167,16 +175,28 @@ def _encode(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _fmt(v)
+        text = _fmt(v)
+        return text if any(c in text for c in ".ein") else text + ".0"
     if isinstance(v, str):
         return v
     if isinstance(v, (list, tuple, np.ndarray)):
+        if _is_int_seq(v):
+            return "(" + ",".join(str(int(i)) for i in v) + ")"
         return _vec_str(v)
     raise TypeError(f"cannot encode report value of type {type(v).__name__}")
 
 
+def _is_int_seq(v) -> bool:
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind in "iu"
+    return all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in v)
+
+
 def parse_report(path) -> dict:
-    """Parse a report into {section: {key: value}}; vectors become arrays."""
+    """Parse a report into {section: {key: value}}.
+
+    Int sequences become tuples and complex vectors become arrays.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0].strip() != "REPORT v1":
@@ -201,6 +221,11 @@ def parse_report(path) -> dict:
 def _decode(s: str):
     if s in ("true", "false"):
         return s == "true"
+    if s.startswith("(") and s.endswith(")"):
+        try:
+            return tuple(int(i) for i in s[1:-1].split(",") if i)
+        except ValueError:
+            return s
     if ";" in s or ("," in s and all(_is_float(p) for item in s.split(";") for p in item.split(","))):
         try:
             return _vec_parse(s)

@@ -26,8 +26,6 @@ __all__ = [
     "SymTensor",
     "outer_product",
     "sym_power",
-    "tensor_norm",
-    "pairing",
     "monomial_values",
 ]
 
@@ -221,25 +219,3 @@ def sym_power(v, m: int) -> SymTensor:
     t = SymTensor.zeros(len(v), m)
     t.values[:] = monomial_values(v, t.powers, m)
     return t
-
-
-def tensor_norm(t) -> float:
-    """Frobenius-type norm summing |entry|^2 over all multi-indices."""
-    return t.norm()
-
-
-def pairing(p: dict, t) -> complex:
-    """Apply the linear functional of a coefficient map to a tensor.
-
-    For a :class:`SymTensor`, keys of `p` are power vectors; for a
-    :class:`DenseTensor`, keys are multi-linear monomials (0-based index
-    tuples).  Returns sum of p[mu] * t_mu.
-    """
-    total = 0.0 + 0.0j
-    if isinstance(t, SymTensor):
-        for alpha, coeff in p.items():
-            total += coeff * t.at_power(alpha)
-    else:
-        for mono, coeff in p.items():
-            total += coeff * t.mono(mono)
-    return total

@@ -1,0 +1,28 @@
+import re
+from pathlib import Path
+
+import gptensor
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def entry_point_names():
+    """Names called or named in the first column of README's entry-point table."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("Key entry points:") :].split("\n\n")[1]
+    names = set()
+    for row in table.splitlines()[2:]:
+        first_cell = row.split("|")[1]
+        for span in re.findall(r"`([^`]*)`", first_cell):
+            names.update(re.findall(r"([A-Za-z_]\w*)(?=\(|$)", span))
+    return names
+
+
+def test_readme_entry_points_resolve():
+    names = entry_point_names()
+    assert {"approx_sym", "approx_nonsym", "run_experiment", "InstanceSpec", "parse_report"} <= names
+    assert [n for n in sorted(names) if not hasattr(gptensor, n)] == []
+
+
+def test_all_names_resolve():
+    assert [n for n in gptensor.__all__ if not hasattr(gptensor, n)] == []

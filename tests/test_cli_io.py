@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gptensor.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
@@ -84,8 +86,51 @@ class TestTensorFiles:
         with pytest.raises(FormatError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "header,entry",
+        [("TENSOR v1 sym order=3 dims=2,2,2", "1"), ("TENSOR v1 dense order=3 dims=2,2,2", "1 2 1")],
+        ids=["sym", "dense"],
+    )
+    def test_non_finite_entries_rejected(self, tmp_path, header, entry, bad):
+        path = tmp_path / "t.tns"
+        for re, im in [(bad, "0"), ("0", bad)]:
+            path.write_text(f"{header}\n{entry} {re} {im}\n")
+            with pytest.raises(FormatError, match="non-finite"):
+                read_tensor(path)
+        command = "approx-sym" if "sym" in header else "approx-ns"
+        assert main([command, "--rank", "1", str(path)]) == EXIT_PRECONDITION
+
+
+_WORDS = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda w: w not in ("true", "false", "inf", "nan", "infinity")
+)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+REPORT_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    _WORDS,
+    st.lists(st.integers(), min_size=2, max_size=3).map(tuple),
+    st.lists(_COMPLEX, min_size=1, max_size=2).map(lambda z: np.array(z, dtype=np.complex128)),
+)
+
 
 class TestReports:
+    @given(block=st.dictionaries(_WORDS, REPORT_VALUES, max_size=6))
+    def test_every_value_kind_round_trips(self, tmp_path_factory, block):
+        path = tmp_path_factory.getbasetemp() / "roundtrip.rep"
+        write_report(path, block, {"s": block})
+        for section in parse_report(path).values():
+            assert section.keys() == block.keys()
+            for key, value in block.items():
+                back = section[key]
+                assert type(back) is type(value)
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(back, value)
+                else:
+                    assert back == value
+
     def test_roundtrip(self, tmp_path):
         meta = {"kind": "sym", "order": 3, "dims": "4,4,4"}
         sections = {
@@ -180,5 +225,17 @@ class TestCli:
         main(["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2", "-o", tns])
         assert main(["approx-ns", "--rank", "2", tns]) == EXIT_PRECONDITION
 
+    def test_report_dims_decode_as_int_tuples(self, tmp_path):
+        sym, dense, rep = (str(tmp_path / name) for name in ("s.tns", "d.tns", "t.rep"))
+        main(["gen", "--kind", "sym", "--dims", "3,2", "--rank", "1", "-o", sym])
+        assert main(["approx-sym", "--rank", "1", sym, "-o", rep]) == EXIT_OK
+        assert parse_report(rep)["meta"]["dims"] == (3, 3)
+        main(["gen", "--kind", "ns", "--dims", "3,5,4", "--rank", "2", "-o", dense])
+        assert main(["approx-ns", "--rank", "2", dense, "-o", rep]) == EXIT_OK
+        report = parse_report(rep)
+        assert report["meta"]["dims"] == (3, 5, 4)
+        assert report["result"]["mode_permutation"] == (2, 1, 3)
+
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL) == (0, 2, 3)
+

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gptensor import experiments
 from gptensor.experiments import (
     InstanceSpec,
     RunReport,
@@ -81,6 +82,22 @@ class TestRunExperiment:
         rep = run_experiment(spec)
         assert rep.failures == 2
         assert all(t.error for t in rep.trials)
+
+    def test_failed_trial_records_its_type(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("rank too large")
+
+        monkeypatch.setattr(experiments, "approx_sym", fail)
+        rep = run_experiment(InstanceSpec("sym", (4, 3), 2, 0.0, seed=1, trials=2))
+        assert [t.error for t in rep.trials] == ["ValueError: rank too large"] * 2
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def bug(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(experiments, "approx_sym", bug)
+        with pytest.raises(TypeError, match="unexpected argument"):
+            run_experiment(InstanceSpec("sym", (4, 3), 2, 0.0, seed=1, trials=2))
 
     def test_report_aggregates(self):
         rep = RunReport(spec=InstanceSpec("sym", (4, 3), 1, 0.1))

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from gptensor.linalg import DEFAULT_RCOND, NumericalError, lstsq_min_norm, schur, svd
+from gptensor.linalg import (
+    DEFAULT_RCOND,
+    NumericalError,
+    joint_eigenvalues,
+    lstsq_min_norm,
+    positive_combination,
+    schur,
+    svd,
+)
 
 
 def random_matrix(rng, rows, cols):
@@ -113,3 +121,111 @@ def test_validation_errors():
 
 def test_numerical_error_is_runtime_error():
     assert issubclass(NumericalError, RuntimeError)
+
+
+def readout_oracle(Ms, pair):
+    """Per-Schur-vector readout and all-pairs diagnostics, one loop per quantity."""
+    r = pair.Q.shape[0]
+    values = np.empty((r, len(Ms)), dtype=np.complex128)
+    for s in range(r):
+        q = pair.Q[:, s]
+        for j, Mj in enumerate(Ms):
+            values[s, j] = q.conj() @ Mj @ q
+    scale = max(1.0, max(np.linalg.norm(Mi) for Mi in Ms))
+    comm = 0.0
+    for a in range(len(Ms)):
+        for b in range(a + 1, len(Ms)):
+            comm = max(comm, np.linalg.norm(Ms[a] @ Ms[b] - Ms[b] @ Ms[a]))
+    eig = pair.eigenvalues
+    gap = np.inf
+    for a in range(len(eig)):
+        for b in range(a + 1, len(eig)):
+            gap = min(gap, abs(eig[a] - eig[b]))
+    gap_rel = gap / max(1.0, np.max(np.abs(eig))) if len(eig) > 1 else np.inf
+    return values, comm / scale**2, gap_rel
+
+
+def commuting_stack(rng, K, eigenvalues):
+    """K matrices V diag(eigenvalues[:, k]) V^-1 sharing a random eigenbasis V."""
+    r = eigenvalues.shape[0]
+    V = random_matrix(rng, r, r)
+    return np.stack([V @ np.diag(eigenvalues[:, k]) @ np.linalg.inv(V) for k in range(K)])
+
+
+def random_weights(rng, K):
+    xi = rng.uniform(0.1, 1.0, size=K)
+    return xi / xi.sum()
+
+
+class TestJointEigenvalues:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        for case in range(30):
+            K, r = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            if case % 2:
+                Ms = np.stack([random_matrix(rng, r, r) for _ in range(K)])
+            else:
+                Ms = commuting_stack(rng, K, random_matrix(rng, r, K))
+            pair = schur(positive_combination(Ms, random_weights(rng, K)))
+            values, diag = joint_eigenvalues(Ms, pair)
+            want_values, want_comm, want_gap = readout_oracle(list(Ms), pair)
+            assert values.shape == (r, K)
+            assert np.allclose(values, want_values, rtol=1e-12, atol=1e-12 * np.abs(want_values).max())
+            assert diag["eigengap"] == pytest.approx(want_gap, rel=1e-12)
+            if case % 2:
+                assert diag["commutator"] == pytest.approx(want_comm, rel=1e-12)
+            else:
+                assert diag["commutator"] <= 1e-12 and want_comm <= 1e-12
+
+    def test_commuting_family_recovers_joint_eigenvalues(self):
+        rng = np.random.default_rng(3)
+        points = random_matrix(rng, 5, 4)
+        Ms = commuting_stack(rng, 4, points)
+        pair = schur(positive_combination(Ms, random_weights(rng, 4)))
+        values, diag = joint_eigenvalues(Ms, pair)
+        # rows come out in Schur order: match each to its nearest true point
+        for row in values:
+            assert np.min(np.linalg.norm(points - row, axis=1)) <= 1e-9
+        assert not diag["low_confidence"]
+
+    def test_low_confidence_on_non_commuting_stack(self):
+        rng = np.random.default_rng(4)
+        Ms = np.stack([random_matrix(rng, 4, 4) for _ in range(3)])
+        _, diag = joint_eigenvalues(Ms, schur(positive_combination(Ms, random_weights(rng, 3))))
+        assert diag["commutator"] > 1e-6 and diag["low_confidence"]
+
+    def test_low_confidence_on_repeated_eigenvalue(self):
+        rng = np.random.default_rng(5)
+        points = random_matrix(rng, 4, 3)
+        points[1] = points[0]  # two identical joint eigenvalues
+        Ms = commuting_stack(rng, 3, points)
+        _, diag = joint_eigenvalues(Ms, schur(positive_combination(Ms, random_weights(rng, 3))))
+        assert diag["commutator"] <= 1e-10
+        assert diag["eigengap"] < 1e-8 and diag["low_confidence"]
+
+    def test_single_matrix_has_zero_commutator(self):
+        rng = np.random.default_rng(6)
+        Ms = random_matrix(rng, 4, 4)[None]
+        values, diag = joint_eigenvalues(Ms, schur(positive_combination(Ms, [1.0])))
+        assert diag["commutator"] == 0.0
+        assert np.allclose(np.sort_complex(values[:, 0]), np.sort_complex(np.linalg.eigvals(Ms[0])))
+
+    def test_rank_one_has_infinite_eigengap(self):
+        Ms = np.array([[[2.0]], [[-3.0 + 1j]]])
+        values, diag = joint_eigenvalues(Ms, schur(positive_combination(Ms, [0.25, 0.75])))
+        assert np.allclose(values, [[2.0, -3.0 + 1j]])
+        assert diag["eigengap"] == np.inf and diag["commutator"] == 0.0
+        assert not diag["low_confidence"]
+
+    def test_positive_combination(self):
+        rng = np.random.default_rng(8)
+        Ms = np.stack([random_matrix(rng, 3, 3) for _ in range(3)])
+        xi = np.array([0.2, 0.3, 0.5])
+        assert np.allclose(positive_combination(Ms, xi), 0.2 * Ms[0] + 0.3 * Ms[1] + 0.5 * Ms[2])
+        for bad in ([0.5, 0.5], [0.7, 0.2, 0.3], [1.2, -0.1, -0.1], [1.0, 0.0, 0.0]):
+            with pytest.raises(ValueError):
+                positive_combination(Ms, bad)
+        with pytest.raises(ValueError):
+            positive_combination(Ms[0], [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            positive_combination(np.zeros((2, 3, 4)), [0.5, 0.5])

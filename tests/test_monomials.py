@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptensor.monomials import (
-    count_upto,
     grlex_key,
     monomials_exact,
     monomials_upto,
     multiindex_to_power,
     multiplicities,
     multiplicity,
-    power_to_multiindices,
 )
 
 
@@ -29,6 +27,7 @@ def brute_force_upto(nvars, deg):
 @pytest.mark.parametrize("nvars,deg", [(1, 3), (2, 3), (3, 4), (4, 2), (5, 3)])
 def test_monomials_upto_matches_bruteforce(nvars, deg):
     assert list(monomials_upto(nvars, deg)) == brute_force_upto(nvars, deg)
+    assert len(monomials_upto(nvars, deg)) == math.comb(nvars + deg, deg)
 
 
 def test_listing_starts_with_constant_and_linears():
@@ -42,12 +41,6 @@ def test_listing_starts_with_constant_and_linears():
 def test_monomials_exact_degrees():
     for d in range(4):
         assert all(sum(a) == d for a in monomials_exact(3, d))
-
-
-@given(st.integers(0, 6), st.integers(0, 6))
-def test_count_upto_formula(nvars, deg):
-    assert count_upto(nvars, deg) == math.comb(nvars + deg, deg)
-    assert count_upto(nvars, deg) == len(monomials_upto(nvars, deg))
 
 
 def test_multiindex_to_power_examples():
@@ -71,26 +64,17 @@ def test_multiindex_to_power_permutation_invariant_exhaustive():
                     assert multiindex_to_power(perm, n) == alpha
 
 
-def test_power_to_multiindices_roundtrip_and_count():
-    alpha = (1, 2)
-    m = 4
-    indices, count = power_to_multiindices(alpha, m)
-    # count is the multinomial m! / (a0! a1! a2!) with a0 = m - |alpha|
-    assert count == math.factorial(4) // (math.factorial(1) * math.factorial(1) * math.factorial(2))
-    assert len(indices) == count
-    for idx in indices:
-        assert multiindex_to_power(idx, 3) == alpha
-    with pytest.raises(ValueError):
-        power_to_multiindices((3, 2), 4)
-
-
 @given(st.integers(2, 5), st.integers(1, 5), st.data())
 @settings(max_examples=50, deadline=None)
 def test_multiplicity_counts_permutations(n, m, data):
     mons = monomials_upto(n - 1, m)
     alpha = data.draw(st.sampled_from(mons))
-    indices, count = power_to_multiindices(alpha, m)
-    assert multiplicity(alpha, m) == len(indices) == count
+    count = sum(
+        multiindex_to_power(idx, n) == alpha for idx in itertools.product(range(1, n + 1), repeat=m)
+    )
+    assert multiplicity(alpha, m) == count
+    with pytest.raises(ValueError):
+        multiplicity((m + 1,) + (0,) * (n - 2), m)  # |alpha| > m
 
 
 def test_multiplicities_vectorized_matches_scalar():

@@ -144,6 +144,16 @@ class TestPipeline:
         with pytest.raises(ValueError):
             approx_sym(F, 10**6)
 
+    def test_diagnostics_edge_cases(self):
+        # n = 2: a single companion matrix, so nothing can fail to commute
+        F, _, _ = gen_random_sym(2, 4, 2, 0.0, seed=1)
+        diag = approx_sym(F, 2).diagnostics
+        assert set(diag) == {"commutator", "eigengap", "low_confidence", "xi_seed"}
+        assert diag["commutator"] == 0.0 and not diag["low_confidence"]
+        # r = 1: a single eigenvalue has no gap to another
+        F, _, _ = gen_random_sym(4, 3, 1, 0.0, seed=2)
+        assert approx_sym(F, 1).diagnostics["eigengap"] == np.inf
+
     def test_deterministic_per_seed(self):
         F, _, _ = gen_random_sym(5, 3, 3, 1e-2, seed=9)
         a = approx_sym(F, 3, refine=False, seed=42)

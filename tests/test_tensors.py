@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gptensor.monomials import multiindex_to_power
 from gptensor.tensors import (
@@ -11,9 +9,7 @@ from gptensor.tensors import (
     SymTensor,
     monomial_values,
     outer_product,
-    pairing,
     sym_power,
-    tensor_norm,
 )
 
 
@@ -136,24 +132,6 @@ class TestRankOne:
         for alpha, got in zip(t.powers, vals):
             expect = v[0] ** (4 - alpha.sum()) * v[1] ** alpha[0] * v[2] ** alpha[1]
             assert np.isclose(got, expect)
-
-
-@given(st.integers(2, 4), st.integers(2, 3), st.integers(0, 10))
-@settings(max_examples=25, deadline=None)
-def test_tensor_norm_dispatch(n, m, seed):
-    t = random_sym(n, m, seed)
-    assert tensor_norm(t) == t.norm()
-    d = t.to_dense()
-    assert np.isclose(tensor_norm(d), tensor_norm(t), rtol=1e-12)
-
-
-def test_pairing_sym_and_dense():
-    t = random_sym(3, 2, seed=2)
-    p = {(0, 0): 2.0, (1, 1): 1j}
-    assert np.isclose(pairing(p, t), 2.0 * t.at_power((0, 0)) + 1j * t.at_power((1, 1)))
-    d = DenseTensor(np.arange(8.0).reshape(2, 2, 2))
-    q = {(0, 0, 0): 1.0, (1, 1, 1): -1.0}
-    assert np.isclose(pairing(q, d), d.mono((0, 0, 0)) - d.mono((1, 1, 1)))
 
 
 def test_power_lookup_consistent_with_multiindex():
