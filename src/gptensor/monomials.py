@@ -18,7 +18,7 @@ import numpy as np
 __all__ = [
     "monomials_exact",
     "monomials_upto",
-    "grlex_key",
+    "grlex_position",
     "multiindex_to_power",
     "multiplicity",
     "multiplicities",
@@ -46,9 +46,38 @@ def monomials_upto(nvars: int, deg: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def grlex_key(alpha):
-    """Sort key realizing the graded-lex order with x1 > x2 > ...  ."""
-    return (sum(alpha), tuple(-a for a in alpha))
+def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
+    """Row of the power vector `sum(terms)` in `monomials_upto(nvars, m)`.
+
+    Terms are integer arrays of shape (..., nvars) whose leading axes broadcast:
+    `grlex_position(nvars, m, rows[:, None], cols[None])` indexes the Hankel
+    gather F_{rows_i + cols_j}.  With suffix sums S_k = alpha_k + ... , the row
+    is sum_k [S_k >= 1] C(S_k - 1 + nvars - k, nvars - k), which counts for
+    k = 0 the monomials of lower degree and for k >= 1 those of equal degree
+    that are larger at coordinate k - 1 and agree before it.  Suffix sums add
+    over terms, so the sum is never formed.  Raises KeyError for a wrong width,
+    a negative entry or a degree above m.
+    """
+    suffix = []
+    for term in terms:
+        term = np.asarray(term, dtype=np.int64)
+        if term.shape[-1:] != (nvars,):
+            raise KeyError(f"power vectors of shape {term.shape} do not have {nvars} entries")
+        if term.size and term.min() < 0:
+            flat = term.reshape(-1, nvars)
+            bad = tuple(flat[(flat < 0).any(axis=1).argmax()].tolist())
+            raise KeyError(f"negative exponent in power vector {bad}")
+        suffix.append(np.cumsum(term[..., ::-1], axis=-1)[..., ::-1])
+    # below[s, j]: number of monomials in j variables of degree < s
+    grid = [[math.comb(s - 1 + j, j) if s else 0 for j in range(nvars + 1)] for s in range(m + 1)]
+    below = np.array(grid, dtype=np.int64)
+    pos = np.zeros(np.broadcast_shapes(*(S.shape[:-1] for S in suffix)), dtype=np.int64)
+    for k in range(nvars):
+        s = sum(S[..., k] for S in suffix)
+        if k == 0 and s.size and s.max() > m:
+            raise KeyError(f"power vector of degree {int(s.max())} exceeds order {m}")
+        pos += below[s, nvars - k]
+    return pos
 
 
 def multiindex_to_power(idx, n: int) -> tuple[int, ...]:

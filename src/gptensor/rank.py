@@ -50,13 +50,7 @@ def catalecticant_sym(t: SymTensor) -> np.ndarray:
         raise ValueError("catalecticant needs order >= 2")
     m1 = t.m // 2
     m2 = t.m - m1
-    rows = monomials_upto(t.nbar, m1)
-    cols = monomials_upto(t.nbar, m2)
-    cat = np.empty((len(rows), len(cols)), dtype=np.complex128)
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            cat[i, j] = t.at_power(tuple(x + y for x, y in zip(a, b)))
-    return cat
+    return t.hankel(monomials_upto(t.nbar, m1), monomials_upto(t.nbar, m2))
 
 
 def default_split(dims) -> tuple[tuple[int, ...], tuple[int, ...]]:

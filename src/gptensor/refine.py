@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tensors import DenseTensor, SymTensor
+from .tensors import DenseTensor, SymTensor, monomial_values
 
 __all__ = [
     "RefineOptions",
@@ -114,18 +114,6 @@ def _sym_full_powers(F: SymTensor) -> np.ndarray:
     return np.column_stack([F.m - p.sum(axis=1), p])
 
 
-def _sym_values(U: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Rows: stored monomials; value sum over terms of prod_k u_k^full_k."""
-    out = np.zeros(full.shape[0], dtype=np.complex128)
-    for u in U:
-        term = np.ones(full.shape[0], dtype=np.complex128)
-        for k in range(full.shape[1]):
-            table = u[k] ** np.arange(full[:, k].max() + 1)
-            term *= table[full[:, k]]
-        out += term
-    return out
-
-
 def sym_residual_map(F: SymTensor, r: int):
     """Residual and complex-Jacobian closures for the symmetric objective.
 
@@ -141,7 +129,7 @@ def sym_residual_map(F: SymTensor, r: int):
 
     def residual(c):
         U = c.reshape(r, n)
-        return w * (_sym_values(U, full) - target)
+        return w * (sum(monomial_values(u, F.powers, F.m) for u in U) - target)
 
     def jacobian(c):
         U = c.reshape(r, n)

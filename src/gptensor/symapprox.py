@@ -1,9 +1,9 @@
 """Symmetric rank-r approximation via generating matrices.
 
-Pipeline: solve one least-squares system per column for the generating matrix,
-form multiplication (companion) matrices for each variable, extract candidate
-points from a Schur decomposition of a random positive combination, then fit
-coefficients by weighted linear least squares.  An optional nonlinear
+Pipeline: solve one least-squares system per shift degree for the generating
+matrix, form multiplication (companion) matrices for each variable, extract
+candidate points from a Schur decomposition of a random positive combination,
+then fit coefficients by weighted linear least squares.  An optional nonlinear
 refinement polishes the resulting rank-1 terms.
 
 All compact least-squares rows carry the square root of the multi-index count
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_RCOND, joint_eigenvalues, lstsq_min_norm, positive_combination, schur
-from .monomials import grlex_key, monomials_upto, multiplicities
+from .monomials import grlex_position, monomials_upto, multiplicities
 from .refine import refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
 
@@ -91,62 +91,58 @@ def build_bases(n: int, r: int) -> MonomialBasisPair:
     deg = 0
     while len(monomials_upto(nbar, deg)) < r:
         deg += 1
-    b0 = list(monomials_upto(nbar, deg)[:r])
-    b0_set = set(b0)
-    b1 = set()
-    for beta in b0:
-        for i in range(nbar):
-            shifted = tuple(b + (1 if k == i else 0) for k, b in enumerate(beta))
-            if shifted not in b0_set:
-                b1.add(shifted)
-    return MonomialBasisPair(nbar=nbar, B0=tuple(b0), B1=tuple(sorted(b1, key=grlex_key)))
+    b0 = monomials_upto(nbar, deg)[:r]
+    # B0 holds rows 0..r-1 of the graded-lex listing; B1 is every other shift, in order
+    shifts = grlex_position(nbar, deg + 1, np.array(b0)[:, None], np.eye(nbar, dtype=np.int64))
+    b1 = tuple(monomials_upto(nbar, deg + 1)[row] for row in np.unique(shifts) if row >= r)
+    return MonomialBasisPair(nbar=nbar, B0=b0, B1=b1)
 
 
 def _row_weights(powers, deg: int) -> np.ndarray:
     return np.sqrt(multiplicities(np.asarray(powers, dtype=np.int64).reshape(len(powers), -1), deg))
 
 
-def assemble_system(F: SymTensor, alpha, B0):
-    """Weighted system (A, b) whose solution is one generating-matrix column.
+def assemble_system(F: SymTensor, alphas, B0):
+    """Shared matrix A and right-hand sides B for shift monomials of one degree.
 
-    Rows run over gamma with |gamma| <= m - |alpha|: A[gamma, beta] = F_{beta+gamma},
-    b[gamma] = F_{alpha+gamma}, both scaled by the row weight.
+    Rows run over gamma with |gamma| <= m - |alpha|: A[gamma, beta] = F_{beta+gamma}
+    and B[gamma, k] = F_{alphas_k+gamma}, both scaled by the row weight; column k
+    of the least-squares solution is the generating-matrix column of alphas_k.
     """
-    alpha = tuple(alpha)
-    d = F.m - sum(alpha)
+    degrees = np.unique(np.sum(alphas, axis=1))
+    if len(degrees) != 1:
+        raise ValueError(f"shift monomials must share one degree, got degrees {degrees.tolist()}")
+    d = F.m - int(degrees[0])
     if d < 0:
-        raise ValueError(f"|alpha| = {sum(alpha)} exceeds order m = {F.m}")
+        raise ValueError(f"|alpha| = {F.m - d} exceeds order m = {F.m}")
     gammas = monomials_upto(F.nbar, d)
-    w = _row_weights(gammas, d)
-    A = np.empty((len(gammas), len(B0)), dtype=np.complex128)
-    b = np.empty(len(gammas), dtype=np.complex128)
-    for g, gamma in enumerate(gammas):
-        for j, beta in enumerate(B0):
-            A[g, j] = F.at_power(tuple(x + y for x, y in zip(beta, gamma)))
-        b[g] = F.at_power(tuple(x + y for x, y in zip(alpha, gamma)))
-    return A * w[:, None], b * w
+    w = _row_weights(gammas, d)[:, None]
+    return F.hankel(gammas, B0) * w, F.hankel(gammas, alphas) * w
 
 
 def solve_generating_matrix(F: SymTensor, r: int, rcond: float = DEFAULT_RCOND) -> SymGenMatrix:
-    """Column-by-column minimum-norm least squares for the generating matrix."""
+    """Generating matrix by minimum-norm least squares, one solve per shift degree."""
     bases = build_bases(F.n, r)
     if bases.max_degree > F.m:
         raise ValueError(
             f"rank {r} needs shift monomials of degree {bases.max_degree} > order {F.m}; "
             f"their least-squares columns would be unconstrained"
         )
-    G = np.empty((r, len(bases.B1)), dtype=np.complex128)
-    residuals = np.empty(len(bases.B1))
-    for col, alpha in enumerate(bases.B1):
-        A, b = assemble_system(F, alpha, bases.B0)
+    B1 = np.array(bases.B1)
+    degrees = B1.sum(axis=1)
+    G = np.empty((r, len(B1)), dtype=np.complex128)
+    residuals = np.empty(len(B1))
+    for deg in np.unique(degrees):
+        cols = np.flatnonzero(degrees == deg)
+        A, B = assemble_system(F, B1[cols], bases.B0)
         if A.shape[0] < r:
             raise ValueError(
                 f"rank {r} exceeds the {A.shape[0]} rows of the system for shift "
-                f"monomial {alpha}; the least squares would be underdetermined"
+                f"monomials of degree {deg}; the least squares would be underdetermined"
             )
-        x = lstsq_min_norm(A, b, rcond=rcond)
-        G[:, col] = x
-        residuals[col] = np.linalg.norm(A @ x - b)
+        X = lstsq_min_norm(A, B, rcond=rcond)
+        G[:, cols] = X
+        residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
     return SymGenMatrix(bases=bases, G=G, column_residuals=residuals)
 
 
@@ -201,25 +197,17 @@ def reconstruct_sym(points: np.ndarray, coefficients: np.ndarray, n: int, m: int
 def rank1_closed_form(F: SymTensor):
     """Closed-form best rank-1 candidate (lambda, v) with v_0 = 1.
 
-    Equals the full pipeline at r = 1: each trailing coordinate is a
-    one-variable least-squares ratio, and lambda is the coefficient fit.
+    Equals the full pipeline at r = 1: the system for B0 = {1}, B1 = {x_1..x_nbar}
+    has one column A, each trailing coordinate is the ratio A^H b_i / A^H A,
+    and lambda is the coefficient fit.
     """
     if F.m < 2:
         raise ValueError("rank-1 closed form needs order >= 2")
-    d = F.m - 1
-    gammas = monomials_upto(F.nbar, d)
-    w2 = multiplicities(np.asarray(gammas, dtype=np.int64).reshape(len(gammas), -1), d)
-    a = np.array([F.at_power(g) for g in gammas])
-    denom = np.sum(w2 * np.abs(a) ** 2)
+    A, B = assemble_system(F, np.eye(F.nbar, dtype=np.int64), np.zeros((1, F.nbar), dtype=np.int64))
+    denom = np.vdot(A, A).real
     if denom == 0:
         raise ValueError("degenerate leading slice: all degree <= m-1 entries vanish")
-    v = np.empty(F.n, dtype=np.complex128)
-    v[0] = 1.0
-    for i in range(1, F.n):
-        b = np.array(
-            [F.at_power(tuple(g[k] + (1 if k == i - 1 else 0) for k in range(F.nbar))) for g in gammas]
-        )
-        v[i] = np.sum(w2 * a.conj() * b) / denom
+    v = np.concatenate([[1.0], A[:, 0].conj() @ B / denom])
     mono = monomial_values(v, F.powers, F.m)
     lam = np.sum(F.weights * mono.conj() * F.values) / np.sum(F.weights * np.abs(mono) ** 2)
     return complex(lam), v

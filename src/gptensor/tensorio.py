@@ -16,10 +16,12 @@ parsed back losslessly (floats are written with 17 significant digits).
 from __future__ import annotations
 
 import cmath
+import json
 import operator
 
 import numpy as np
 
+from .monomials import grlex_position
 from .tensors import DenseTensor, SymTensor
 
 __all__ = [
@@ -108,16 +110,18 @@ def read_tensor(path):
         if len(set(dims)) != 1:
             raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
         n, m = dims[0], order
+        entries = [_parse_entry(ln, n - 1, "exponents") for ln in lines[1:]]
+        alphas = np.array([alpha for alpha, _ in entries], dtype=np.int64).reshape(-1, n - 1)
+        try:
+            pos = grlex_position(n - 1, m, alphas)
+        except KeyError as exc:
+            raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
+        first = np.unique(pos, return_index=True)[1]
+        if len(first) < len(pos):
+            repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
+            raise FormatError(f"duplicate entry for power vector {tuple(alphas[repeat].tolist())}")
         t = SymTensor.zeros(n, m)
-        seen = set()
-        for ln in lines[1:]:
-            alpha, value = _parse_entry(ln, n - 1, "exponents")
-            if any(a < 0 for a in alpha) or sum(alpha) > m:
-                raise FormatError(f"power vector {alpha} out of range for m={m}")
-            if alpha in seen:
-                raise FormatError(f"duplicate entry for power vector {alpha}")
-            seen.add(alpha)
-            t.values[t.position(alpha)] = value
+        t.values[pos] = [value for _, value in entries]
         return t
     # 1-based indices address an array one larger per mode; its index-0 planes stay zero
     arr = np.zeros(tuple(d + 1 for d in dims), dtype=np.complex128)
@@ -152,7 +156,8 @@ def render_report(meta: dict, sections: dict) -> str:
     kind: true/false for bools, digits for ints, 17 significant digits with a
     point or an exponent for floats, `(a,b,...)` for sequences of ints,
     semicolon-separated re,im pairs for other 1-D arrays (complex vectors),
-    and strings verbatim.
+    and JSON string literals for strings (unquoted text from older reports
+    still decodes as a string when it reads as no other kind).
     """
     lines = ["REPORT v1", "[meta]"]
     for k, v in meta.items():
@@ -178,7 +183,7 @@ def _encode(v) -> str:
         text = _fmt(v)
         return text if any(c in text for c in ".ein") else text + ".0"
     if isinstance(v, str):
-        return v
+        return json.dumps(v)
     if isinstance(v, (list, tuple, np.ndarray)):
         if _is_int_seq(v):
             return "(" + ",".join(str(int(i)) for i in v) + ")"
@@ -219,6 +224,11 @@ def parse_report(path) -> dict:
 
 
 def _decode(s: str):
+    if s.startswith('"'):
+        try:
+            return json.loads(s)
+        except ValueError:
+            pass
     if s in ("true", "false"):
         return s == "true"
     if s.startswith("(") and s.endswith(")"):

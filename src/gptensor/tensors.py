@@ -9,17 +9,11 @@ intent: operations return new objects and never mutate their inputs.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .monomials import (
-    grlex_key,
-    monomials_upto,
-    multiindex_to_power,
-    multiplicities,
-)
+from .monomials import grlex_position, monomials_upto, multiindex_to_power, multiplicities
 
 __all__ = [
     "DenseTensor",
@@ -40,6 +34,8 @@ class DenseTensor:
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
         if arr.ndim < 1 or any(d < 1 for d in arr.shape):
             raise ValueError(f"invalid tensor shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("tensor entries must be finite")
         object.__setattr__(self, "data", arr)
 
     @property
@@ -52,14 +48,9 @@ class DenseTensor:
 
     def entry(self, idx) -> complex:
         """Entry at the 1-based multi-index (i1,...,im)."""
+        if len(idx) != self.order or not all(1 <= i <= n for i, n in zip(idx, self.dims)):
+            raise ValueError(f"index {tuple(idx)} out of range for dims {self.dims}")
         return complex(self.data[tuple(i - 1 for i in idx)])
-
-    def mono(self, idx) -> complex:
-        """Entry addressed by a multi-linear monomial (0-based indices)."""
-        for i, n in zip(idx, self.dims):
-            if not 0 <= i < n:
-                raise ValueError(f"monomial index {idx} out of range for dims {self.dims}")
-        return complex(self.data[tuple(idx)])
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -91,7 +82,8 @@ class SymTensor:
                 f"expected {len(self.powers)} entries for n={n}, m={m}, got {len(values)}"
             )
         self.values = np.asarray(values, dtype=np.complex128).copy()
-        self._pos = {tuple(p): i for i, p in enumerate(self.powers)}
+        if not np.isfinite(self.values).all():
+            raise ValueError("tensor entries must be finite")
         self._weights = multiplicities(self.powers, m)
 
     @classmethod
@@ -117,28 +109,19 @@ class SymTensor:
         n, m = dims[0], dense.order
         if any(d != n for d in dims):
             raise ValueError(f"dims {dims} are not cubic")
-        t = cls.zeros(n, m)
-        seen = {}
-        for idx in itertools.product(range(1, n + 1), repeat=m):
-            alpha = multiindex_to_power(idx, n)
-            val = dense.entry(idx)
-            if alpha in seen:
-                if tol > 0 and abs(val - seen[alpha]) > tol:
-                    raise ValueError(f"tensor is not symmetric at index {idx}")
-            else:
-                seen[alpha] = val
-                t.values[t._pos[alpha]] = val
+        pos = _dense_positions(n, m).ravel()
+        flat = dense.data.ravel()
+        # each power vector keeps the value of its first multi-index in row-major order
+        t = cls(n, m, flat[np.unique(pos, return_index=True)[1]])
+        if tol > 0:
+            bad = np.abs(flat - t.values[pos]) > tol
+            if bad.any():
+                idx = tuple(int(i) + 1 for i in np.unravel_index(bad.argmax(), dims))
+                raise ValueError(f"tensor is not symmetric at index {idx}")
         return t
 
     def to_dense(self) -> DenseTensor:
-        arr = np.empty((self.n,) * self.m, dtype=np.complex128)
-        for row, alpha in enumerate(self.powers):
-            rep = [0] * (self.m - int(alpha.sum()))
-            for k, a in enumerate(alpha):
-                rep.extend([k + 1] * int(a))
-            for perm in set(itertools.permutations(rep)):
-                arr[perm] = self.values[row]
-        return DenseTensor(arr)
+        return DenseTensor(self.values[_dense_positions(self.n, self.m)])
 
     @property
     def weights(self) -> np.ndarray:
@@ -146,16 +129,16 @@ class SymTensor:
         return self._weights
 
     def at_power(self, alpha) -> complex:
-        pos = self._pos.get(tuple(alpha))
-        if pos is None:
-            raise KeyError(f"power vector {tuple(alpha)} not addressable for n={self.n}, m={self.m}")
-        return complex(self.values[pos])
+        return complex(self.values[self.position(alpha)])
 
     def position(self, alpha) -> int:
-        pos = self._pos.get(tuple(alpha))
-        if pos is None:
-            raise KeyError(f"power vector {tuple(alpha)} not addressable for n={self.n}, m={self.m}")
-        return pos
+        """Row of the power vector alpha in `values`; KeyError if not stored."""
+        return int(grlex_position(self.nbar, self.m, alpha))
+
+    def hankel(self, rows, cols) -> np.ndarray:
+        """Matrix (F_{rows_i + cols_j}) for two sequences of power vectors."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        return self.values[grlex_position(self.nbar, self.m, rows[:, None], cols[None])]
 
     def entry(self, idx) -> complex:
         """Entry at the 1-based multi-index; invariant under permutations."""
@@ -184,6 +167,13 @@ class SymTensor:
             raise ValueError(
                 f"incompatible symmetric tensors: ({self.n},{self.m}) vs ({other.n},{other.m})"
             )
+
+
+def _dense_positions(n: int, m: int) -> np.ndarray:
+    """Compact row of every entry of an (n,)*m array; index i > 0 adds e_i."""
+    unit = np.eye(n, n - 1, k=-1, dtype=np.int64)
+    terms = [unit.reshape((1,) * j + (n,) + (1,) * (m - 1 - j) + (n - 1,)) for j in range(m)]
+    return grlex_position(n - 1, m, *terms)
 
 
 def outer_product(vectors) -> DenseTensor:

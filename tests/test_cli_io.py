@@ -60,6 +60,9 @@ class TestTensorFiles:
         path.write_text("TENSOR v1 sym order=2 dims=2,2\n1 1 0\n1 2 0\n")
         with pytest.raises(FormatError, match="duplicate"):
             read_tensor(path)
+        path.write_text("TENSOR v1 sym order=3 dims=3,3,3\n1 0 1 0\n0 0 2 0\n0 1 3 0\n1 0 4 0\n")
+        with pytest.raises(FormatError, match=r"duplicate entry for power vector \(1, 0\)"):
+            read_tensor(path)
 
     @pytest.mark.parametrize(
         "header",
@@ -85,6 +88,9 @@ class TestTensorFiles:
         path.write_text("TENSOR v1 sym order=2 dims=2,2\n3 1 0\n")
         with pytest.raises(FormatError):
             read_tensor(path)
+        path.write_text("TENSOR v1 sym order=2 dims=3,3\n0 0 1 0\n-1 1 1 0\n")
+        with pytest.raises(FormatError, match="out of range"):
+            read_tensor(path)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -102,22 +108,21 @@ class TestTensorFiles:
         assert main([command, "--rank", "1", str(path)]) == EXIT_PRECONDITION
 
 
-_WORDS = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
-    lambda w: w not in ("true", "false", "inf", "nan", "infinity")
-)
+_KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 _COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
 REPORT_VALUES = st.one_of(
     st.booleans(),
     st.integers(),
     st.floats(allow_nan=False),
-    _WORDS,
+    st.text(),
+    st.sampled_from(["3", "true", "1,2", "(1)", "1.5", 'a="b";c\\d,e', " pad ", "x\ny"]),
     st.lists(st.integers(), min_size=2, max_size=3).map(tuple),
     st.lists(_COMPLEX, min_size=1, max_size=2).map(lambda z: np.array(z, dtype=np.complex128)),
 )
 
 
 class TestReports:
-    @given(block=st.dictionaries(_WORDS, REPORT_VALUES, max_size=6))
+    @given(block=st.dictionaries(_KEYS, REPORT_VALUES, max_size=6))
     def test_every_value_kind_round_trips(self, tmp_path_factory, block):
         path = tmp_path_factory.getbasetemp() / "roundtrip.rep"
         write_report(path, block, {"s": block})
@@ -153,6 +158,13 @@ class TestReports:
         path = tmp_path / "r.rep"
         path.write_text(text)
         assert parse_report(path)["s"]["x"] == 2.5
+
+    def test_unquoted_strings_of_older_reports_decode(self, tmp_path):
+        path = tmp_path / "r.rep"
+        path.write_text('REPORT v1\n[meta]\nkind=sym\n[spectrum]\nflattening=3x6\nnote="open\n')
+        back = parse_report(path)
+        assert back["meta"]["kind"] == "sym"
+        assert back["spectrum"] == {"flattening": "3x6", "note": '"open'}
 
     def test_non_report_rejected(self, tmp_path):
         path = tmp_path / "r.rep"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptensor.monomials import (
-    grlex_key,
+    grlex_position,
     monomials_exact,
     monomials_upto,
     multiindex_to_power,
@@ -21,7 +21,7 @@ def brute_force_upto(nvars, deg):
     all_tuples = [
         t for t in itertools.product(range(deg + 1), repeat=nvars) if sum(t) <= deg
     ]
-    return sorted(all_tuples, key=grlex_key)
+    return sorted(all_tuples, key=lambda t: (sum(t), tuple(-a for a in t)))
 
 
 @pytest.mark.parametrize("nvars,deg", [(1, 3), (2, 3), (3, 4), (4, 2), (5, 3)])
@@ -84,8 +84,33 @@ def test_multiplicities_vectorized_matches_scalar():
         assert row == multiplicity(tuple(alpha), 4)
 
 
-def test_grlex_key_total_order():
-    mons = monomials_upto(3, 3)
-    keys = [grlex_key(a) for a in mons]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+def _power_array(nvars, deg):
+    mons = monomials_upto(nvars, deg)
+    return np.array(mons, dtype=np.int64).reshape(len(mons), nvars)
+
+
+@given(st.integers(1, 6), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_grlex_position_matches_enumeration(nvars, m):
+    rows = grlex_position(nvars, m, _power_array(nvars, m))
+    assert np.array_equal(rows, np.arange(math.comb(nvars + m, m)))
+    unit = np.eye(1, nvars, dtype=np.int64)
+    with pytest.raises(KeyError):
+        grlex_position(nvars, m, np.zeros((1, nvars + 1), dtype=np.int64))  # wrong width
+    with pytest.raises(KeyError):
+        grlex_position(nvars, m, -unit)  # negative entry
+    with pytest.raises(KeyError):
+        grlex_position(nvars, m, (m + 1) * unit)  # degree above m
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_grlex_position_sum_gather_matches_dict_oracle(nvars, m):
+    oracle = {alpha: row for row, alpha in enumerate(monomials_upto(nvars, m))}
+    for m1 in range(m + 1):
+        rows, cols = _power_array(nvars, m1), _power_array(nvars, m - m1)
+        got = grlex_position(nvars, m, rows[:, None], cols[None])
+        expect = [[oracle[tuple(a + b)] for b in cols] for a in rows]
+        assert np.array_equal(got, expect)
+    with pytest.raises(KeyError):
+        grlex_position(nvars, m, rows[:, None], rows[None])  # degrees add up past m

@@ -29,8 +29,8 @@ class TestModePermute:
         rng = np.random.default_rng(0)
         t = DenseTensor(rng.standard_normal((2, 4, 3)))
         p, perm = mode_permute(t)
-        for idx in itertools.product(range(2), range(4), range(3)):
-            assert p.mono(tuple(idx[perm[k]] for k in range(3))) == t.mono(idx)
+        for idx in itertools.product(range(1, 3), range(1, 5), range(1, 4)):
+            assert p.entry(tuple(idx[perm[k]] for k in range(3))) == t.entry(idx)
 
     def test_order_two_rejected(self):
         with pytest.raises(ValueError):
@@ -47,10 +47,10 @@ class TestSystemAssembly:
         assert A.shape == (2, r)
         for row, i3 in enumerate(range(2)):
             for ell in range(r):
-                assert A[row, ell] == t.mono((ell, 0, i3))
+                assert A[row, ell] == t.entry((ell + 1, 1, i3 + 1))
             for i in range(r):
                 for k in range(1, 3):
-                    assert B[i, k - 1][row] == t.mono((i, k, i3))
+                    assert B[i, k - 1][row] == t.entry((i + 1, k + 1, i3 + 1))
 
     def test_validation(self):
         t = DenseTensor(np.zeros((3, 3, 3)))

@@ -50,8 +50,8 @@ class TestSplit:
         t = DenseTensor(np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4))
         cat = catalecticant_ns(t, split=((1, 2), (3,)))
         assert cat.shape == (6, 4)
-        assert cat[0, 0] == t.mono((0, 0, 0))
-        assert cat[5, 3] == t.mono((1, 2, 3))
+        assert cat[0, 0] == t.entry((1, 1, 1))
+        assert cat[5, 3] == t.entry((2, 3, 4))
         # most balanced bipartition for dims (2,3,4) is {1,2}|{3}: 6 x 4
         assert catalecticant_ns(t).shape == (6, 4)
 

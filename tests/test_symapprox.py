@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gptensor.generate import gen_random_sym, named_tensor
+from gptensor.linalg import lstsq_min_norm
 from gptensor.monomials import monomials_upto, multiplicities
 from gptensor.symapprox import (
     approx_sym,
@@ -42,19 +43,44 @@ class TestBases:
 class TestGeneratingMatrix:
     def test_assemble_system_bruteforce(self):
         rng = np.random.default_rng(0)
-        F = SymTensor(3, 3, rng.standard_normal(10) + 1j * rng.standard_normal(10))
-        bases = build_bases(3, 2)
-        alpha = bases.B1[0]
-        A, b = assemble_system(F, alpha, bases.B0)
-        d = F.m - sum(alpha)
-        gammas = monomials_upto(F.nbar, d)
-        w = np.sqrt(multiplicities(np.array(gammas), d))
-        assert A.shape == (len(gammas), len(bases.B0))
-        for g, gamma in enumerate(gammas):
-            for j, beta in enumerate(bases.B0):
-                expect = F.at_power(tuple(x + y for x, y in zip(beta, gamma))) * w[g]
-                assert np.isclose(A[g, j], expect)
-            assert np.isclose(b[g], F.at_power(tuple(x + y for x, y in zip(alpha, gamma))) * w[g])
+        F = SymTensor(4, 4, rng.standard_normal(35) + 1j * rng.standard_normal(35))
+        oracle = {alpha: F.values[row] for row, alpha in enumerate(monomials_upto(F.nbar, F.m))}
+        bases = build_bases(4, 5)
+        for deg in (2, 3):
+            alphas = [a for a in bases.B1 if sum(a) == deg]
+            A, B = assemble_system(F, alphas, bases.B0)
+            d = F.m - deg
+            gammas = monomials_upto(F.nbar, d)
+            w = np.sqrt(multiplicities(np.array(gammas), d))
+            assert A.shape == (len(gammas), len(bases.B0))
+            assert B.shape == (len(gammas), len(alphas))
+            for g, gamma in enumerate(gammas):
+                for j, beta in enumerate(bases.B0):
+                    assert A[g, j] == oracle[tuple(x + y for x, y in zip(beta, gamma))] * w[g]
+                for k, alpha in enumerate(alphas):
+                    assert B[g, k] == oracle[tuple(x + y for x, y in zip(alpha, gamma))] * w[g]
+        with pytest.raises(ValueError, match="one degree"):
+            assemble_system(F, [(1, 0, 0), (2, 0, 0)], bases.B0)
+        with pytest.raises(ValueError, match="exceeds"):
+            assemble_system(F, [(5, 0, 0)], bases.B0)
+
+    @pytest.mark.parametrize("n,m,r,eps", [(6, 3, 2, 0.0), (10, 3, 5, 0.05), (12, 4, 10, 0.0)])
+    def test_generating_matrix_matches_per_column_oracle(self, n, m, r, eps):
+        """One multi-RHS solve per degree equals one least squares per B1 column."""
+        F, _, _ = gen_random_sym(n, m, r, eps, seed=r)
+        gm = solve_generating_matrix(F, r)
+        oracle = {alpha: F.values[row] for row, alpha in enumerate(monomials_upto(F.nbar, F.m))}
+        for col, alpha in enumerate(gm.bases.B1):
+            d = F.m - sum(alpha)
+            gammas = monomials_upto(F.nbar, d)
+            w = np.sqrt(multiplicities(np.array(gammas), d))
+            A = np.array(
+                [[oracle[tuple(x + y for x, y in zip(beta, g))] for beta in gm.bases.B0] for g in gammas]
+            ) * w[:, None]
+            b = np.array([oracle[tuple(x + y for x, y in zip(alpha, g))] for g in gammas]) * w
+            x = lstsq_min_norm(A, b)
+            assert np.max(np.abs(gm.G[:, col] - x)) <= 1e-13 * np.max(np.abs(x))
+            assert abs(gm.column_residuals[col] - np.linalg.norm(A @ x - b)) <= 1e-13 * F.norm()
 
     def test_exact_tensor_gives_zero_column_residuals(self):
         F, _, _ = gen_random_sym(5, 3, 2, 0.0, seed=2)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gptensor.monomials import multiindex_to_power
+from gptensor.monomials import monomials_upto, multiindex_to_power
 from gptensor.tensors import (
     DenseTensor,
     SymTensor,
@@ -28,10 +28,13 @@ class TestDenseTensor:
         assert t.order == 3
         assert t.entry((1, 1, 1)) == 0
         assert t.entry((2, 3, 4)) == 23
-        assert t.mono((0, 0, 0)) == 0
-        assert t.mono((1, 2, 3)) == 23
         with pytest.raises(ValueError):
-            t.mono((2, 0, 0))
+            t.entry((3, 1, 1))
+        # index 0 would wrap to the last plane under plain 0-based indexing
+        with pytest.raises(ValueError):
+            t.entry((0, 1, 1))
+        with pytest.raises(ValueError):
+            t.entry((1, 1))
 
     def test_norm_and_arithmetic(self):
         rng = np.random.default_rng(3)
@@ -45,6 +48,13 @@ class TestDenseTensor:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             DenseTensor(np.empty((2, 0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_rejected(self, bad):
+        arr = np.zeros((2, 2, 2), dtype=complex)
+        arr[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DenseTensor(arr)
 
 
 class TestSymTensor:
@@ -62,9 +72,14 @@ class TestSymTensor:
             assert np.isclose(t.norm(), dense.norm(), rtol=1e-12)
 
     def test_dense_roundtrip(self):
-        t = random_sym(4, 3, seed=5)
-        back = SymTensor.from_dense(t.to_dense(), tol=1e-12)
-        assert np.allclose(back.values, t.values)
+        for n, m in [(4, 3), (6, 4)]:
+            t = random_sym(n, m, seed=5)
+            oracle = dict(zip(monomials_upto(n - 1, m), t.values))
+            dense = t.to_dense()
+            for idx in itertools.product(range(1, n + 1), repeat=m):
+                assert dense.entry(idx) == oracle[multiindex_to_power(idx, n)]
+            back = SymTensor.from_dense(dense, tol=1e-12)
+            assert np.array_equal(back.values, t.values)
 
     def test_from_dense_rejects_asymmetric(self):
         arr = np.zeros((2, 2, 2))
@@ -106,6 +121,13 @@ class TestSymTensor:
         with pytest.raises(KeyError):
             SymTensor.zeros(3, 2).at_power((3, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.inf, 0)])
+    def test_non_finite_rejected(self, bad):
+        values = np.zeros(10, dtype=complex)
+        values[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymTensor(3, 3, values)
+
 
 class TestRankOne:
     def test_outer_product_entries(self):
@@ -115,7 +137,7 @@ class TestRankOne:
         t = outer_product([u, v, w])
         assert t.dims == (2, 2, 3)
         for i, j, k in itertools.product(range(2), range(2), range(3)):
-            assert np.isclose(t.mono((i, j, k)), u[i] * v[j] * w[k])
+            assert np.isclose(t.entry((i + 1, j + 1, k + 1)), u[i] * v[j] * w[k])
 
     def test_sym_power_matches_dense_outer(self):
         rng = np.random.default_rng(7)
