@@ -35,6 +35,10 @@ class InstanceSpec:
     def __post_init__(self):
         if self.kind not in ("sym", "nonsym"):
             raise ValueError(f"kind must be 'sym' or 'nonsym', got {self.kind!r}")
+        if self.kind == "sym" and len(self.dims) != 2:
+            raise ValueError(f"sym dims must be (n, m), got {self.dims}")
+        if self.rank < 1:
+            raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.trials < 1:

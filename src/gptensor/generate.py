@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import DenseTensor, SymTensor, outer_product, sym_power
+from .monomials import power_table
+from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
 
 __all__ = ["gen_random_sym", "gen_random_ns", "named_tensor", "NAMED_TENSORS"]
 
@@ -27,9 +28,7 @@ def gen_random_sym(n: int, m: int, r: int, eps: float = 0.0, seed: int = 0):
         raise ValueError(f"eps must be nonnegative, got {eps}")
     rng = np.random.default_rng(seed)
     U = _random_complex(rng, r, n)
-    R = sym_power(U[0], m)
-    for i in range(1, r):
-        R = R + sym_power(U[i], m)
+    R = SymTensor(n, m, monomial_values(U, power_table(n - 1, m)[0], m).sum(axis=0))
     if eps > 0:
         E = SymTensor(n, m, _random_complex(rng, len(R.values)))
         E = E * (eps / E.norm())
@@ -52,10 +51,9 @@ def gen_random_ns(dims, r: int, eps: float = 0.0, seed: int = 0):
     if len(dims) < 3:
         raise ValueError("need order >= 3")
     rng = np.random.default_rng(seed)
-    tuples = [[_random_complex(rng, d) for d in dims] for _ in range(r)]
-    R = outer_product(tuples[0])
-    for s in range(1, r):
-        R = R + outer_product(tuples[s])
+    draws = [[_random_complex(rng, d) for d in dims] for _ in range(r)]  # term-major
+    A = [np.column_stack(vs) for vs in zip(*draws)]  # A[t]: the (n_t, r) factor of mode t
+    R = DenseTensor((A[0] @ khatri_rao(A[1:]).T).reshape(dims))
     if eps > 0:
         E = DenseTensor(_random_complex(rng, *dims))
         E = E * (eps / E.norm())
@@ -64,8 +62,8 @@ def gen_random_ns(dims, r: int, eps: float = 0.0, seed: int = 0):
     return R + E, R, E
 
 
-def _sym(n, m, fn):
-    return SymTensor.from_function(n, m, fn)
+def _sym(n, default_n, m, fn):
+    return SymTensor.from_function(default_n if n is None else n, m, fn)
 
 
 def _dense(dims, fn):
@@ -75,21 +73,17 @@ def _dense(dims, fn):
 
 def _make_named(name: str, n: int | None):
     if name == "sin3":
-        return _sym(n or 6, 3, lambda i, j, k: np.sin(i + j + k))
+        return _sym(n, 6, 3, lambda i, j, k: np.sin(i + j + k))
     if name == "recip3":
-        return _sym(n or 10, 3, lambda i, j, k: 1.0 / (i + j + k))
+        return _sym(n, 10, 3, lambda i, j, k: 1.0 / (i + j + k))
     if name == "exp4":
-        return _sym(n or 5, 4, lambda i, j, k, l: np.exp(-float(i * j * k * l)))
+        return _sym(n, 5, 4, lambda i, j, k, l: np.exp(-float(i * j * k * l)))
     if name == "log4":
-        return _sym(n or 5, 4, lambda i, j, k, l: np.log(float(i + j + k + l)))
+        return _sym(n, 5, 4, lambda i, j, k, l: np.log(float(i + j + k + l)))
     if name == "sqrt5":
-        return _sym(n or 4, 5, lambda *ix: np.sqrt(float(sum(v * v for v in ix))))
+        return _sym(n, 4, 5, lambda *ix: np.sqrt(float(sum(v * v for v in ix))))
     if name == "logexp6":
-        return _sym(
-            n or 4,
-            6,
-            lambda *ix: np.log(float(np.prod(ix)) + np.exp(float(sum(ix)))),
-        )
+        return _sym(n, 4, 6, lambda *ix: np.log(float(np.prod(ix)) + np.exp(float(sum(ix)))))
     if name == "expsum3":
         return _dense(
             (7, 6, 5), lambda i, j, k: 1.0 / (np.exp(i) + np.exp(j**2) + np.exp(k**3))

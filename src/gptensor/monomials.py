@@ -22,6 +22,7 @@ __all__ = [
     "multiindex_to_power",
     "multiplicity",
     "multiplicities",
+    "power_table",
 ]
 
 
@@ -113,3 +114,19 @@ def multiplicities(powers: np.ndarray, m: int) -> np.ndarray:
     a0 = m - powers.sum(axis=1)
     denom = fact[a0] * np.prod(fact[powers], axis=1)
     return fact[m] / denom
+
+
+@lru_cache(maxsize=None)
+def power_table(nvars: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shared read-only `monomials_upto(nvars, m)` as an (N, nvars) array, and its counts.
+
+    The counts are the multi-index counts of the rows (`multiplicities`).
+    """
+    if nvars < 0 or m < 0:
+        raise ValueError(f"invalid (n, m) = ({nvars + 1}, {m})")
+    monos = monomials_upto(nvars, m)
+    powers = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+    counts = multiplicities(powers, m)
+    powers.flags.writeable = False
+    counts.flags.writeable = False
+    return powers, counts

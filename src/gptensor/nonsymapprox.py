@@ -11,13 +11,12 @@ with one shared design matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .linalg import DEFAULT_RCOND, joint_eigenvalues, lstsq_min_norm, positive_combination, schur
 from .refine import refine_if_helps, refine_nonsym
-from .tensors import DenseTensor
+from .tensors import DenseTensor, khatri_rao
 
 __all__ = [
     "NsGenMatrix",
@@ -80,14 +79,6 @@ def mode_permute(F: DenseTensor):
     return DenseTensor(np.transpose(F.data, perm)), perm
 
 
-def _other_modes_slice(data: np.ndarray, j: int, mode1_index, modej_index) -> np.ndarray:
-    """Flatten over all modes except 1 and j, with those two fixed or sliced."""
-    idx = [slice(None)] * data.ndim
-    idx[0] = mode1_index
-    idx[j - 1] = modej_index
-    return data[tuple(idx)]
-
-
 def assemble_system_ns(F: DenseTensor, j: int, r: int):
     """Shared matrix A[F, j] and all right-hand sides for relations in mode j.
 
@@ -100,16 +91,9 @@ def assemble_system_ns(F: DenseTensor, j: int, r: int):
         raise ValueError(f"mode j must be in 2..{m}, got {j}")
     if r > F.dims[0]:
         raise ValueError(f"rank {r} exceeds leading dimension {F.dims[0]}")
-    data = F.data
-    # rows: all indices of the modes other than 1 and j, raveled row-major
-    A = _other_modes_slice(data, j, slice(0, r), 0)
-    A = A.reshape(r, -1).T
-    nj = F.dims[j - 1]
-    B = np.empty((r, nj - 1, A.shape[0]), dtype=np.complex128)
-    for i in range(r):
-        for k in range(1, nj):
-            B[i, k - 1] = _other_modes_slice(data, j, i, k).ravel()
-    return A, B
+    # axes (i, k, rows): rows run over the indices of the modes other than 1 and j, row-major
+    slices = np.moveaxis(F.data[:r], j - 1, 1).reshape(r, F.dims[j - 1], -1)
+    return slices[:, 0].T, slices[:, 1:]
 
 
 def solve_generating_matrix_ns(F: DenseTensor, r: int, rcond: float = DEFAULT_RCOND) -> NsGenMatrix:
@@ -169,45 +153,34 @@ def solve_first_mode(F: DenseTensor, modes, rcond: float = DEFAULT_RCOND) -> np.
     vectors) is shared by the independent least squares of every first-mode
     slice.  Returns an (r, n1) array.
     """
-    r = len(modes)
-    m = F.order
-    D = np.column_stack(
-        [reduce(np.multiply.outer, [modes[s][j] for j in range(2, m + 1)]).ravel() for s in range(r)]
-    )
-    rhs = F.data.reshape(F.dims[0], -1).T
-    Z = lstsq_min_norm(D, rhs, rcond=rcond)
-    return Z  # shape (r, n1): row s is the first-mode vector of term s
+    D = khatri_rao([np.array([mode[j] for mode in modes]).T for j in range(2, F.order + 1)])
+    return lstsq_min_norm(D, F.data.reshape(F.dims[0], -1).T, rcond=rcond)
 
 
 def reconstruct_ns(tuples) -> DenseTensor:
-    """Sum of the rank-1 outer products of the given tuples."""
-    out = None
-    for tup in tuples:
-        term = reduce(np.multiply.outer, [np.asarray(v, dtype=np.complex128) for v in tup])
-        out = term if out is None else out + term
-    return DenseTensor(out)
+    """Sum of the rank-1 outer products of the given tuples, as A_1 @ khatri_rao(A_2..A_m).T."""
+    A = [np.column_stack(vectors) for vectors in zip(*tuples)]
+    return DenseTensor((A[0] @ khatri_rao(A[1:]).T).reshape([len(a) for a in A]))
 
 
 def rank1_closed_form_ns(F: DenseTensor):
-    """Closed-form rank-1 tuple; equals the full pipeline at r = 1."""
+    """Closed-form rank-1 tuple; equals the full pipeline at r = 1.
+
+    The r = 1 system of mode j has one column A, and entry k of the mode-j
+    vector is the ratio A^H b_k / A^H A.
+    """
     m = F.order
     if m < 3:
         raise ValueError("nonsymmetric rank-1 closed form needs order >= 3")
     tup = [None] * m
     for j in range(2, m + 1):
-        a = _other_modes_slice(F.data, j, 0, 0).ravel()
-        denom = np.sum(np.abs(a) ** 2)
+        A, B = assemble_system_ns(F, j, 1)
+        denom = np.vdot(A, A).real
         if denom == 0:
             raise ValueError(f"degenerate slice: all entries constant in modes 1,{j} vanish")
-        nj = F.dims[j - 1]
-        v = np.empty(nj, dtype=np.complex128)
-        v[0] = 1.0
-        for k in range(1, nj):
-            v[k] = np.sum(a.conj() * _other_modes_slice(F.data, j, 0, k).ravel()) / denom
-        tup[j - 1] = v
-    d = reduce(np.multiply.outer, tup[1:]).ravel()
-    scale = np.prod([np.sum(np.abs(v) ** 2) for v in tup[1:]])
-    tup[0] = (F.data.reshape(F.dims[0], -1) @ d.conj()) / scale
+        tup[j - 1] = np.concatenate([[1.0], B[0] @ A[:, 0].conj() / denom])
+    d = khatri_rao([v[:, None] for v in tup[1:]])[:, 0]
+    tup[0] = (F.data.reshape(F.dims[0], -1) @ d.conj()) / np.vdot(d, d).real
     return tup
 
 
@@ -234,8 +207,10 @@ def approx_nonsym(
     residual (see `refine.refine_if_helps`).
     """
     Fp, perm = mode_permute(F)
-    if r > Fp.dims[0]:
-        raise ValueError(f"rank {r} exceeds the largest dimension {Fp.dims[0]}")
+    if not 1 <= r <= Fp.dims[0]:
+        raise ValueError(f"rank must be in 1..{Fp.dims[0]} (the largest dimension), got {r}")
+    if 1 in F.dims:
+        raise ValueError(f"mode {F.dims.index(1) + 1} has dimension 1; every mode needs >= 2")
     rng = np.random.default_rng(seed)
     m = F.order
 

@@ -9,11 +9,11 @@ returns the best iterate seen, which is never worse than the starting point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .tensors import DenseTensor, SymTensor, monomial_values
+from .monomials import grlex_position, power_table
+from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
 
 __all__ = [
     "RefineOptions",
@@ -43,7 +43,8 @@ class RefineOptions:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        if min(self.grad_tol, self.step_tol, self.residual_tol, self.init_damping) <= 0:
+        tols = (self.grad_tol, self.step_tol, self.residual_tol, self.init_damping)
+        if not all(t > 0 for t in tols):
             raise ValueError("all tolerances must be positive")
 
 
@@ -109,11 +110,6 @@ def levenberg_marquardt(c0: np.ndarray, residual, jacobian, options: RefineOptio
     return unpack(best_x), float(np.sqrt(2.0 * best_cost)), iters
 
 
-def _sym_full_powers(F: SymTensor) -> np.ndarray:
-    p = F.powers
-    return np.column_stack([F.m - p.sum(axis=1), p])
-
-
 def sym_residual_map(F: SymTensor, r: int):
     """Residual and complex-Jacobian closures for the symmetric objective.
 
@@ -121,32 +117,27 @@ def sym_residual_map(F: SymTensor, r: int):
     rows of the residual are the compact entries of sum u_i^{(x)m} - F scaled
     by the square roots of their multi-index counts, so the Euclidean residual
     norm equals the true tensor norm of the error.
+
+    d(u^alpha)/du_k = alpha_k u^gamma with gamma = alpha - e_k (alpha_0 = m - |alpha|),
+    an entry of u^(x)(m-1); each (gamma, k) gives one row alpha, so a Jacobian is one
+    scatter of the degree-(m-1) values of every u_i, and rows with alpha_k = 0 stay zero.
     """
-    n = F.n
-    full = _sym_full_powers(F)
-    w = np.sqrt(F.weights.astype(np.float64))
-    target = F.values
+    n, m, nbar = F.n, F.m, F.nbar
+    w = np.sqrt(F.weights)
+    lower_powers = power_table(nbar, m - 1)[0]
+    # row of gamma + e_k for every gamma of degree <= m - 1; k = 0 raises the implicit x0
+    rows = grlex_position(nbar, m, lower_powers[:, None], np.eye(n, nbar, k=-1, dtype=np.int64))
+    full = np.column_stack([m - F.powers.sum(axis=1), F.powers])
+    scale = w[rows] * full[rows, np.arange(n)]  # w_alpha * alpha_k, shape (N', n)
 
     def residual(c):
-        U = c.reshape(r, n)
-        return w * (sum(monomial_values(u, F.powers, F.m) for u in U) - target)
+        return w * (monomial_values(c.reshape(r, n), F.powers, m).sum(axis=0) - F.values)
 
     def jacobian(c):
-        U = c.reshape(r, n)
-        J = np.empty((full.shape[0], r * n), dtype=np.complex128)
-        for i in range(r):
-            for k in range(n):
-                dec = full.copy()
-                dec[:, k] -= 1
-                col = full[:, k].astype(np.complex128)
-                live = dec[:, k] >= 0
-                term = np.ones(full.shape[0], dtype=np.complex128)
-                for t in range(full.shape[1]):
-                    e = np.where(live, np.maximum(dec[:, t], 0), 0)
-                    table = U[i, t] ** np.arange(e.max() + 1)
-                    term *= table[e]
-                J[:, i * n + k] = w * col * np.where(live, term, 0.0)
-        return J
+        lower = monomial_values(c.reshape(r, n), lower_powers, m - 1)  # (r, N')
+        J = np.zeros((len(w), r, n), dtype=np.complex128)
+        J[rows[:, None], np.arange(r)[:, None], np.arange(n)] = lower.T[:, :, None] * scale[:, None]
+        return J.reshape(len(w), r * n)
 
     return residual, jacobian
 
@@ -168,41 +159,40 @@ def ns_residual_map(F: DenseTensor, r: int):
     """Residual and complex-Jacobian closures for the dense objective.
 
     The parameter vector concatenates the mode vectors of every rank-1 term;
-    `unpack(c)` recovers the list-of-vectors layout.  Returns
-    (residual, jacobian, unpack).
+    `unpack(c)` recovers the list-of-vectors layout.  The model is
+    A_1 @ khatri_rao(A_2..A_m).T, and the Jacobian block of mode t is
+    left (x) I (x) right, with left and right the Khatri-Rao products of the
+    modes before and after t.  Returns (residual, jacobian, unpack).
     """
     dims = F.dims
     m = F.order
-    sizes = [dims[t] for t in range(m)]
-    offsets = np.cumsum([0] + [sum(sizes) for _ in range(r)])
-    mode_off = np.cumsum([0] + sizes)
+    mode_off = np.cumsum((0,) + dims)
+    size = int(mode_off[-1])  # parameters per term
     target = F.data.ravel()
 
+    def factors(c):
+        terms = c.reshape(r, size)
+        return [terms[:, mode_off[t] : mode_off[t + 1]].T for t in range(m)]
+
     def unpack(c):
-        out = []
-        for s in range(r):
-            base = offsets[s]
-            out.append([c[base + mode_off[t] : base + mode_off[t + 1]] for t in range(m)])
-        return out
+        return [list(term) for term in zip(*(a.T for a in factors(c)))]
 
     def residual(c):
-        acc = np.zeros(len(target), dtype=np.complex128)
-        for tup in unpack(c):
-            acc += reduce(np.multiply.outer, tup).ravel()
-        return acc - target
+        A = factors(c)
+        return (A[0] @ khatri_rao(A[1:]).T).ravel() - target
 
     def jacobian(c):
-        tups = unpack(c)
-        J = np.empty((len(target), offsets[-1]), dtype=np.complex128)
-        for s in range(r):
-            for t in range(m):
-                left = reduce(np.multiply.outer, tups[s][:t]).ravel() if t else np.ones(1)
-                right = (
-                    reduce(np.multiply.outer, tups[s][t + 1 :]).ravel() if t < m - 1 else np.ones(1)
-                )
-                block = np.einsum("p,q,nk->pnqk", left, right, np.eye(sizes[t]))
-                cols = slice(offsets[s] + mode_off[t], offsets[s] + mode_off[t + 1])
-                J[:, cols] = block.reshape(len(target), sizes[t])
+        A = factors(c)
+        ones = np.ones((1, r))
+        J = np.zeros((len(target), r * size), dtype=np.complex128)
+        for t in range(m):
+            left = khatri_rao(A[:t]) if t else ones
+            right = khatri_rao(A[t + 1 :]) if t < m - 1 else ones
+            # axes (p, k, q) of the rows and (s, k') of mode t's columns; only k = k' is nonzero
+            block = J.reshape(len(left), dims[t], len(right), r, size)
+            block = block[..., mode_off[t] : mode_off[t + 1]]
+            k = np.arange(dims[t])
+            block[:, k, :, :, k] = left[:, None, :] * right[None, :, :]
         return J
 
     return residual, jacobian, unpack

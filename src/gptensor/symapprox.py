@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_RCOND, joint_eigenvalues, lstsq_min_norm, positive_combination, schur
-from .monomials import grlex_position, monomials_upto, multiplicities
+from .monomials import grlex_position, monomials_upto, power_table
 from .refine import refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
 
@@ -98,10 +98,6 @@ def build_bases(n: int, r: int) -> MonomialBasisPair:
     return MonomialBasisPair(nbar=nbar, B0=b0, B1=b1)
 
 
-def _row_weights(powers, deg: int) -> np.ndarray:
-    return np.sqrt(multiplicities(np.asarray(powers, dtype=np.int64).reshape(len(powers), -1), deg))
-
-
 def assemble_system(F: SymTensor, alphas, B0):
     """Shared matrix A and right-hand sides B for shift monomials of one degree.
 
@@ -115,8 +111,8 @@ def assemble_system(F: SymTensor, alphas, B0):
     d = F.m - int(degrees[0])
     if d < 0:
         raise ValueError(f"|alpha| = {F.m - d} exceeds order m = {F.m}")
-    gammas = monomials_upto(F.nbar, d)
-    w = _row_weights(gammas, d)[:, None]
+    gammas, counts = power_table(F.nbar, d)
+    w = np.sqrt(counts)[:, None]
     return F.hankel(gammas, B0) * w, F.hankel(gammas, alphas) * w
 
 
@@ -182,16 +178,15 @@ def extract_points(gm: SymGenMatrix, xi: np.ndarray):
 def solve_coefficients(F: SymTensor, points: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Coefficients minimizing the true tensor norm of the rank-r combination."""
     w = np.sqrt(F.weights)
-    D = np.column_stack([monomial_values(v, F.powers, F.m) for v in points])
+    D = monomial_values(points, F.powers, F.m).T
     return lstsq_min_norm(D * w[:, None], F.values * w, rcond=rcond)
 
 
 def reconstruct_sym(points: np.ndarray, coefficients: np.ndarray, n: int, m: int) -> SymTensor:
     """Compact tensor sum of lambda_i * (v_i)^(x) m."""
-    t = SymTensor.zeros(n, m)
-    for lam, v in zip(coefficients, points):
-        t.values += lam * monomial_values(v, t.powers, m)
-    return t
+    powers = power_table(n - 1, m)[0]
+    terms = np.asarray(coefficients)[:, None] * monomial_values(points, powers, m)
+    return SymTensor(n, m, terms.sum(axis=0))
 
 
 def rank1_closed_form(F: SymTensor):

@@ -111,7 +111,7 @@ def read_tensor(path):
             raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
         n, m = dims[0], order
         entries = [_parse_entry(ln, n - 1, "exponents") for ln in lines[1:]]
-        alphas = np.array([alpha for alpha, _ in entries], dtype=np.int64).reshape(-1, n - 1)
+        alphas = np.array([a for a, _ in entries], dtype=np.int64).reshape(len(entries), n - 1)
         try:
             pos = grlex_position(n - 1, m, alphas)
         except KeyError as exc:

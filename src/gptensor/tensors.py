@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomials import grlex_position, monomials_upto, multiindex_to_power, multiplicities
+from .monomials import grlex_position, multiindex_to_power, power_table
 
 __all__ = [
     "DenseTensor",
     "SymTensor",
     "outer_product",
+    "khatri_rao",
     "sym_power",
     "monomial_values",
 ]
@@ -76,7 +77,8 @@ class SymTensor:
         self.n = n
         self.m = m
         self.nbar = n - 1
-        self.powers = np.array(monomials_upto(self.nbar, m), dtype=np.int64).reshape(-1, self.nbar)
+        # shared read-only rows of `monomials_upto(n - 1, m)` and their multi-index counts
+        self.powers, self.weights = power_table(self.nbar, m)
         if len(values) != len(self.powers):
             raise ValueError(
                 f"expected {len(self.powers)} entries for n={n}, m={m}, got {len(values)}"
@@ -84,22 +86,17 @@ class SymTensor:
         self.values = np.asarray(values, dtype=np.complex128).copy()
         if not np.isfinite(self.values).all():
             raise ValueError("tensor entries must be finite")
-        self._weights = multiplicities(self.powers, m)
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "SymTensor":
-        nmon = len(monomials_upto(n - 1, m))
-        return cls(n, m, np.zeros(nmon, dtype=np.complex128))
+        return cls(n, m, np.zeros(len(power_table(n - 1, m)[0]), dtype=np.complex128))
 
     @classmethod
     def from_function(cls, n: int, m: int, fn) -> "SymTensor":
         """Build from a symmetric entry formula fn(i1,...,im), 1-based indices."""
         t = cls.zeros(n, m)
-        for row, alpha in enumerate(t.powers):
-            rep = [1] * (m - int(alpha.sum()))
-            for k, a in enumerate(alpha):
-                rep.extend([k + 2] * int(a))
-            t.values[row] = fn(*rep)
+        full = np.column_stack([m - t.powers.sum(axis=1), t.powers])  # counts of indices 1..n
+        t.values[:] = [fn(*np.repeat(np.arange(1, n + 1), row).tolist()) for row in full]
         return t
 
     @classmethod
@@ -123,11 +120,6 @@ class SymTensor:
     def to_dense(self) -> DenseTensor:
         return DenseTensor(self.values[_dense_positions(self.n, self.m)])
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Multi-index count of each stored power vector."""
-        return self._weights
-
     def at_power(self, alpha) -> complex:
         return complex(self.values[self.position(alpha)])
 
@@ -147,7 +139,7 @@ class SymTensor:
         return self.at_power(multiindex_to_power(idx, self.n))
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self._weights * np.abs(self.values) ** 2)))
+        return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
         self._check_compatible(other)
@@ -187,25 +179,39 @@ def outer_product(vectors) -> DenseTensor:
     return DenseTensor(out)
 
 
+def khatri_rao(factors) -> np.ndarray:
+    """Column-wise Kronecker product of (n_t, r) factor matrices.
+
+    Column s is the raveled outer product of column s of every factor, so
+    A_1 @ khatri_rao([A_2, ..., A_m]).T unfolds the tensor with factors A_t.
+    """
+    factors = [np.asarray(f, dtype=np.complex128) for f in factors]
+    if not factors:
+        raise ValueError("khatri_rao needs at least one factor")
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, None, :] * f[None, :, :]).reshape(-1, out.shape[1])
+    return out
+
+
 def monomial_values(v: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
     """Evaluate v0^(m-|alpha|) * v1^a1 * ... for every power vector row.
 
-    `v` is indexed 0..n-1; the implicit exponent of v0 completes each row to
-    total degree m.
+    `v` has shape (..., n) and the result (..., N): with all N stored power
+    vectors, row i is the compact storage of v[i]^(x)m.  The implicit exponent
+    of v0 completes each row to total degree m.
     """
     v = np.asarray(v, dtype=np.complex128)
     powers = np.asarray(powers, dtype=np.int64)
     full = np.column_stack([m - powers.sum(axis=1), powers])
-    out = np.ones(len(powers), dtype=np.complex128)
+    out = np.ones(v.shape[:-1] + (len(powers),), dtype=np.complex128)
     for k in range(full.shape[1]):
-        table = v[k] ** np.arange(full[:, k].max() + 1)
-        out *= table[full[:, k]]
+        table = v[..., k, None] ** np.arange(full[:, k].max() + 1)
+        out *= table[..., full[:, k]]
     return out
 
 
 def sym_power(v, m: int) -> SymTensor:
     """m-th symmetric tensor power of a vector v in C^n, stored compactly."""
     v = np.asarray(v, dtype=np.complex128)
-    t = SymTensor.zeros(len(v), m)
-    t.values[:] = monomial_values(v, t.powers, m)
-    return t
+    return SymTensor(len(v), m, monomial_values(v, power_table(len(v) - 1, m)[0], m))

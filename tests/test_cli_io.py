@@ -232,6 +232,31 @@ class TestCli:
         # unknown flag
         assert main(["approx-sym", "--bogus", tns]) == EXIT_PRECONDITION
 
+    def test_dimension_one_sym_file(self, tmp_path, capsys):
+        tns = tmp_path / "one.tns"
+        tns.write_text("TENSOR v1 sym order=3 dims=1,1,1\n2.5 -1\n")
+        t = read_tensor(tns)
+        assert (t.n, t.m) == (1, 3) and t.values.tolist() == [2.5 - 1j]
+        assert main(["rank-est", str(tns)]) == EXIT_OK
+        assert 'flattening="1x1"' in capsys.readouterr().out
+        assert main(["approx-sym", "--rank", "1", str(tns)]) == EXIT_PRECONDITION
+        assert "need n >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dims,rank,message",
+        [
+            ("4,3,3", "0", "rank must be in 1..4"),
+            ("4,3,3", "-1", "rank must be in 1..4"),
+            ("5,3,1", "1", "mode 3 has dimension 1"),
+        ],
+    )
+    def test_approx_ns_preconditions(self, tmp_path, capsys, dims, rank, message):
+        tns = str(tmp_path / "t.tns")
+        shape = tuple(int(d) for d in dims.split(","))
+        write_tensor(DenseTensor(np.arange(1.0, np.prod(shape) + 1).reshape(shape)), tns)
+        assert main(["approx-ns", "--rank", rank, tns]) == EXIT_PRECONDITION
+        assert message in capsys.readouterr().err
+
     def test_sym_file_for_ns_command(self, tmp_path):
         tns = str(tmp_path / "t.tns")
         main(["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2", "-o", tns])

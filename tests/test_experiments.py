@@ -45,6 +45,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             InstanceSpec("sym", (4, 3), 2, trials=0)
 
+    def test_bad_sym_dims_and_rank(self):
+        for dims in [(4, 3, 2), (4,)]:
+            with pytest.raises(ValueError, match=r"sym dims must be \(n, m\)"):
+                InstanceSpec("sym", dims, 2)
+        for rank in (0, -1):
+            with pytest.raises(ValueError, match="rank must be >= 1"):
+                InstanceSpec("nonsym", (4, 3, 3), rank)
+
 
 class TestRunExperiment:
     def test_decomposition_mode(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gptensor.generate import NAMED_TENSORS, gen_random_ns, gen_random_sym, named_tensor
-from gptensor.tensors import DenseTensor, SymTensor
+from gptensor.tensors import DenseTensor, SymTensor, outer_product, sym_power
 
 
 class TestRandomSym:
@@ -22,6 +22,17 @@ class TestRandomSym:
         assert np.array_equal(a[0].values, b[0].values)
         c = gen_random_sym(6, 3, 3, 1e-2, seed=8)
         assert not np.array_equal(a[0].values, c[0].values)
+
+    @pytest.mark.parametrize("n,m,r", [(6, 3, 4), (5, 4, 1), (2, 2, 3)])
+    def test_equals_sum_of_symmetric_powers(self, n, m, r):
+        F, R, E = gen_random_sym(n, m, r, 0.1, seed=r)
+        rng = np.random.default_rng(r)  # the same draws, in the same order
+        U = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        expect = sym_power(U[0], m)
+        for u in U[1:]:
+            expect = expect + sym_power(u, m)
+        assert np.array_equal(R.values, expect.values)
+        assert np.array_equal(F.values, (expect + E).values)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -45,6 +56,14 @@ class TestRandomNs:
         a = gen_random_ns((4, 4, 4), 3, 1e-1, seed=3)
         b = gen_random_ns((4, 4, 4), 3, 1e-1, seed=3)
         assert np.array_equal(a[0].data, b[0].data)
+
+    @pytest.mark.parametrize("dims,r", [((4, 3, 3), 2), ((3, 2, 4, 2), 5)])
+    def test_equals_sum_of_outer_products(self, dims, r):
+        _, R, _ = gen_random_ns(dims, r, 0.1, seed=r)
+        rng = np.random.default_rng(r)  # term-major draws, one per (term, mode)
+        draw = [[rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims] for _ in range(r)]
+        expect = sum(outer_product(tup).data for tup in draw)
+        assert np.max(np.abs(R.data - expect)) <= 1e-15 * np.max(np.abs(expect))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -99,6 +118,14 @@ class TestNamedTensors:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_tensor("nope")
+
+    def test_dimension_override_is_taken_literally(self):
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
+                named_tensor("sin3", bad)
+        t = named_tensor("sin3", 1)
+        assert (t.n, t.m, len(t.values)) == (1, 3, 1)
+        assert t.entry((1, 1, 1)) == np.sin(3.0)
 
     def test_symmetric_families_are_symmetric(self):
         t = named_tensor("logexp6", 3)

@@ -52,6 +52,23 @@ class TestSystemAssembly:
                 for k in range(1, 3):
                     assert B[i, k - 1][row] == t.entry((i + 1, k + 1, i3 + 1))
 
+    @pytest.mark.parametrize("dims", [(5, 3, 4, 2), (4, 2, 3)])
+    def test_slices_equal_index_loop(self, dims):
+        rng = np.random.default_rng(len(dims))
+        t = DenseTensor(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        r = 3
+        for j in range(2, len(dims) + 1):
+            A, B = assemble_system_ns(t, j, r)
+            rest = [idx for idx in np.ndindex(*dims) if idx[0] == 0 and idx[j - 1] == 0]
+            assert A.shape == (len(rest), r) and B.shape == (r, dims[j - 1] - 1, len(rest))
+            for row, idx in enumerate(rest):
+                for i in range(r):
+                    for k in range(dims[j - 1]):
+                        at = list(idx)
+                        at[0], at[j - 1] = i, k
+                        got = A[row, i] if k == 0 else B[i, k - 1, row]
+                        assert got == t.data[tuple(at)]
+
     def test_validation(self):
         t = DenseTensor(np.zeros((3, 3, 3)))
         with pytest.raises(ValueError):
@@ -128,8 +145,15 @@ class TestPipeline:
 
     def test_rank_exceeds_largest_dim(self):
         F, _, _ = gen_random_ns((4, 3, 3), 2, 0.0, seed=8)
-        with pytest.raises(ValueError):
-            approx_nonsym(F, 5)
+        for r in (5, 0, -1):
+            with pytest.raises(ValueError, match=r"rank must be in 1\.\.4"):
+                approx_nonsym(F, r)
+
+    @pytest.mark.parametrize("dims,mode", [((5, 3, 1), 3), ((1, 4, 3), 1), ((4, 1, 1, 3), 2)])
+    def test_dimension_one_mode_rejected(self, dims, mode):
+        F = DenseTensor(np.ones(dims))
+        with pytest.raises(ValueError, match=f"mode {mode} has dimension 1"):
+            approx_nonsym(F, 1)
 
     def test_deterministic_per_seed(self):
         F, _, _ = gen_random_ns((5, 4, 4), 3, 1e-2, seed=9)
@@ -174,6 +198,18 @@ class TestRankOneClosedForm:
         arr[1, 1, 1] = 1.0  # every slice through index 0 vanishes
         with pytest.raises(ValueError):
             rank1_closed_form_ns(DenseTensor(arr))
+
+
+@pytest.mark.parametrize("dims,r", [((4, 3, 5), 1), ((3, 4, 2, 3), 4), ((60, 60, 60), 10)])
+def test_reconstruct_equals_sum_of_outer_products(dims, r):
+    rng = np.random.default_rng(r)
+    tuples = [[rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims] for _ in range(r)]
+    expect = outer_product(tuples[0]).data
+    for tup in tuples[1:]:
+        expect = expect + outer_product(tup).data
+    got = reconstruct_ns(tuples)
+    assert got.dims == dims
+    assert np.max(np.abs(got.data - expect)) <= 1e-15 * np.max(np.abs(expect))
 
 
 def test_first_mode_duplicate_tuples_minimum_norm():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,68 @@ def fd_jacobian(residual, c, h=1e-6):
     return J
 
 
+def loop_sym_jacobian(F, r, c):
+    """Column (i, k) of the symmetric Jacobian, one power table per coordinate."""
+    n = F.n
+    U = c.reshape(r, n)
+    full = np.column_stack([F.m - F.powers.sum(axis=1), F.powers])
+    w = np.sqrt(F.weights)
+    J = np.empty((full.shape[0], r * n), dtype=np.complex128)
+    for i in range(r):
+        for k in range(n):
+            dec = full.copy()
+            dec[:, k] -= 1
+            col = full[:, k].astype(np.complex128)
+            live = dec[:, k] >= 0
+            term = np.ones(full.shape[0], dtype=np.complex128)
+            for t in range(full.shape[1]):
+                e = np.where(live, np.maximum(dec[:, t], 0), 0)
+                table = U[i, t] ** np.arange(e.max() + 1)
+                term *= table[e]
+            J[:, i * n + k] = w * col * np.where(live, term, 0.0)
+    return J
+
+
+def loop_ns_jacobian(F, r, c):
+    """Block (s, t) of the dense Jacobian as left (x) I (x) right of one term."""
+    dims, m = F.dims, F.order
+    size = sum(dims)
+    off = np.cumsum((0,) + dims)
+    J = np.empty((F.data.size, r * size), dtype=np.complex128)
+    for s in range(r):
+        tup = [c[s * size + off[t] : s * size + off[t + 1]] for t in range(m)]
+        for t in range(m):
+            left = reduce(np.multiply.outer, tup[:t]).ravel() if t else np.ones(1)
+            right = reduce(np.multiply.outer, tup[t + 1 :]).ravel() if t < m - 1 else np.ones(1)
+            block = np.einsum("p,q,nk->pnqk", left, right, np.eye(dims[t]))
+            J[:, s * size + off[t] : s * size + off[t + 1]] = block.reshape(F.data.size, dims[t])
+    return J
+
+
 class TestJacobians:
+    @pytest.mark.parametrize("n,m,r", [(4, 2, 2), (5, 3, 3), (3, 4, 2), (6, 3, 1)])
+    def test_sym_jacobian_equals_loop_oracle(self, n, m, r):
+        rng = np.random.default_rng(n * m + r)
+        F, _, _ = gen_random_sym(n, m, r, 0.1, seed=n)
+        c = rng.standard_normal(r * n) + 1j * rng.standard_normal(r * n)
+        c[0] = c[n + 1 if r > 1 else 1] = 0.0  # zero coordinates, implicit x0 included
+        _, jacobian = sym_residual_map(F, r)
+        assert np.array_equal(jacobian(c), loop_sym_jacobian(F, r, c))
+
+    @pytest.mark.parametrize("dims,r", [((4, 3, 5), 2), ((3, 2, 4, 3), 3), ((2, 2, 2), 1)])
+    def test_ns_jacobian_equals_loop_oracle(self, dims, r):
+        rng = np.random.default_rng(len(dims) + r)
+        F, _, _ = gen_random_ns(dims, r, 0.1, seed=r)
+        c = rng.standard_normal(r * sum(dims)) + 1j * rng.standard_normal(r * sum(dims))
+        residual, jacobian, unpack = ns_residual_map(F, r)
+        J = jacobian(c)
+        assert J.shape == (F.data.size, len(c))
+        assert np.max(np.abs(J - loop_ns_jacobian(F, r, c))) <= 1e-14 * np.max(np.abs(J))
+        X = sum(reduce(np.multiply.outer, tup) for tup in unpack(c))
+        assert np.max(np.abs(residual(c) - (X - F.data).ravel())) <= 1e-14 * np.max(np.abs(X))
+        # unpack returns views into c in the term-major layout
+        assert all(np.shares_memory(v, c) for tup in unpack(c) for v in tup)
+
     def test_sym_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         F, _, _ = gen_random_sym(4, 3, 2, 0.05, seed=0)
@@ -157,3 +220,6 @@ class TestSolverCore:
             RefineOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
             RefineOptions(step_tol=-1e-3)
+        for field in ("grad_tol", "step_tol", "residual_tol", "init_damping"):
+            with pytest.raises(ValueError):
+                RefineOptions(**{field: float("nan")})

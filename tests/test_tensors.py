@@ -1,12 +1,14 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from gptensor.monomials import monomials_upto, multiindex_to_power
+from gptensor.monomials import monomials_upto, multiindex_to_power, power_table
 from gptensor.tensors import (
     DenseTensor,
     SymTensor,
+    khatri_rao,
     monomial_values,
     outer_product,
     sym_power,
@@ -118,8 +120,30 @@ class TestSymTensor:
             SymTensor(3, 3, np.zeros(5))
         with pytest.raises(ValueError):
             SymTensor(0, 3, np.zeros(1))
+        for n, m in [(0, 3), (3, 0), (-1, 2)]:
+            with pytest.raises(ValueError):
+                SymTensor.zeros(n, m)
         with pytest.raises(KeyError):
             SymTensor.zeros(3, 2).at_power((3, 0))
+
+    def test_layout_is_shared_and_read_only(self):
+        a, b = SymTensor.zeros(5, 3), random_sym(5, 3, seed=2)
+        assert a.powers is b.powers and a.weights is b.weights
+        assert a.powers is power_table(4, 3)[0] and a.weights is power_table(4, 3)[1]
+        with pytest.raises(ValueError):
+            a.powers[0, 0] = 1
+        with pytest.raises(ValueError):
+            a.weights[0] = 2.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_dimension_one_is_a_single_entry(self, m):
+        t = SymTensor.zeros(1, m)
+        assert t.powers.shape == (1, 0) and list(t.weights) == [1.0]
+        t = SymTensor(1, m, [2.0 - 1j])
+        assert t.entry((1,) * m) == 2.0 - 1j
+        assert np.array_equal(t.to_dense().data, np.full((1,) * m, 2.0 - 1j))
+        assert np.isclose(t.norm(), abs(2.0 - 1j))
+        assert sym_power([3.0], m).values[0] == 3.0**m
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.inf, 0)])
     def test_non_finite_rejected(self, bad):
@@ -154,6 +178,32 @@ class TestRankOne:
         for alpha, got in zip(t.powers, vals):
             expect = v[0] ** (4 - alpha.sum()) * v[1] ** alpha[0] * v[2] ** alpha[1]
             assert np.isclose(got, expect)
+
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (3, 4), (5, 2)])
+    def test_batched_monomial_values_equal_per_row_calls(self, n, m):
+        rng = np.random.default_rng(n + m)
+        powers = power_table(n - 1, m)[0]
+        U = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+        U[0, 1, -1] = 0.0  # a zero coordinate
+        got = monomial_values(U, powers, m)
+        assert got.shape == (2, 3, len(powers))
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], monomial_values(U[idx], powers, m))
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_khatri_rao_columns_are_raveled_outer_products(self, order):
+        rng = np.random.default_rng(order)
+        dims, r = (4, 3, 2, 3, 2)[:order], 3
+        factors = [rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)) for d in dims]
+        K = khatri_rao(factors)
+        assert K.shape == (int(np.prod(dims)), r)
+        for s in range(r):
+            expect = reduce(np.multiply.outer, [f[:, s] for f in factors]).ravel()
+            assert np.array_equal(K[:, s], expect)
+        assert np.array_equal(khatri_rao(factors[:1]), factors[0])
+        with pytest.raises(ValueError):
+            khatri_rao([])
 
 
 def test_power_lookup_consistent_with_multiindex():
