@@ -48,7 +48,6 @@ def _cmd_approx_sym(args) -> int:
     if not isinstance(F, SymTensor):
         raise ValueError("approx-sym requires a symmetric tensor file")
     res = approx_sym(F, args.rank, refine=not args.no_refine, seed=args.seed, rcond=args.rcond)
-    spec = spectrum_sym(F)
     meta = {
         "kind": "sym",
         "order": F.m,
@@ -60,7 +59,6 @@ def _cmd_approx_sym(args) -> int:
         "residual_gp": res.residual_gp,
         "refined": res.refined,
         "xi_seed": res.diagnostics.get("xi_seed", args.seed),
-        "suggested_rank": -1 if spec.suggested_rank is None else spec.suggested_rank,
     }
     if res.refined:
         result["residual_opt"] = res.residual_opt
@@ -78,9 +76,7 @@ def _cmd_approx_ns(args) -> int:
     F = read_tensor(args.file)
     if not isinstance(F, DenseTensor) or F.order < 3:
         raise ValueError("approx-ns requires a dense tensor file of order >= 3")
-    split = _parse_split(args.split) if args.split else None
     res = approx_nonsym(F, args.rank, refine=not args.no_refine, seed=args.seed, rcond=args.rcond)
-    spec = spectrum_ns(F, split=split)
     meta = {
         "kind": "dense",
         "order": F.order,
@@ -92,7 +88,6 @@ def _cmd_approx_ns(args) -> int:
         "residual_gp": res.residual_gp,
         "refined": res.refined,
         "xi_seed": res.diagnostics.get("xi_seed", args.seed),
-        "suggested_rank": -1 if spec.suggested_rank is None else spec.suggested_rank,
         "mode_permutation": tuple(p + 1 for p in res.mode_permutation),
     }
     if res.refined:
@@ -146,7 +141,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    header, reports = bench_preset(args.preset, args.scale)
+    header, reports = bench_preset(args.preset)
     for line in header:
         print(line)
     for rep in reports:
@@ -190,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("approx-ns", help="nonsymmetric rank-r approximation")
     sp.add_argument("--rank", type=int, required=True)
-    sp.add_argument("--split", default=None, help="mode bipartition, e.g. 1,2|3")
     add_common(sp)
     sp.set_defaults(func=_cmd_approx_ns)
 
@@ -213,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="run a preset experiment table")
     sp.add_argument("--preset", choices=("table1", "table2", "table3", "table4"), required=True)
-    sp.add_argument("--scale", default="desk")
     sp.set_defaults(func=_cmd_bench)
 
     sp = sub.add_parser("paper-tensor", help="write a named benchmark tensor")

@@ -162,12 +162,10 @@ _PRESETS = {
 }
 
 
-def bench_preset(name: str, scale: str = "desk"):
+def bench_preset(name: str):
     """Run a named preset; returns (header_lines, [RunReport])."""
-    if scale != "desk":
-        raise ValueError(f"unknown scale {scale!r}; only 'desk' is supported")
     preset = _PRESETS.get(name)
     if preset is None:
         raise ValueError(f"unknown preset {name!r}; choose from {', '.join(sorted(_PRESETS))}")
-    header = [f"preset={name} scale={scale}", f"note: {preset['note']}"]
+    header = [f"preset={name}", f"note: {preset['note']}"]
     return header, [run_experiment(s) for s in preset["specs"]]

@@ -103,6 +103,11 @@ def solve_generating_matrix_ns(F: DenseTensor, r: int, rcond: float = DEFAULT_RC
     residuals = {}
     for j in range(2, m + 1):
         A, B = assemble_system_ns(F, j, r)
+        if A.shape[0] < r:
+            raise ValueError(
+                f"rank {r} exceeds the {A.shape[0]} rows of the system for mode {j}; "
+                f"the least squares would be underdetermined"
+            )
         nj = F.dims[j - 1]
         rhs = B.reshape(r * (nj - 1), -1).T  # columns: (i, k) pairs
         X = lstsq_min_norm(A, rhs, rcond=rcond)

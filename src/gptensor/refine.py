@@ -1,9 +1,12 @@
 """Levenberg-Marquardt refinement of rank-r decompositions.
 
 The residual maps are polynomial (hence holomorphic) in the complex vector
-variables, so the real Jacobian over (Re, Im) coordinates is assembled from
-the complex one as [[Re J, -Im J], [Im J, Re J]].  The solver is monotone: it
-returns the best iterate seen, which is never worse than the starting point.
+variables.  By the Cauchy-Riemann equations their real Jacobian over (Re, Im)
+coordinates is the real representation [[Re J, -Im J], [Im J, Re J]] of the
+complex Jacobian J, so the real damped Gauss-Newton system is the real
+representation of the complex system (J^H J + mu I) delta = -J^H r, which the
+solver solves directly.  The solver is monotone: it returns the best iterate
+seen, which is never worse than the starting point.
 """
 
 from __future__ import annotations
@@ -48,12 +51,6 @@ class RefineOptions:
             raise ValueError("all tolerances must be positive")
 
 
-def _realize(rc: np.ndarray, Jc: np.ndarray):
-    r = np.concatenate([rc.real, rc.imag])
-    J = np.block([[Jc.real, -Jc.imag], [Jc.imag, Jc.real]])
-    return r, J
-
-
 def levenberg_marquardt(c0: np.ndarray, residual, jacobian, options: RefineOptions | None = None):
     """Minimize ||residual(c)||^2 over complex parameter vectors c.
 
@@ -61,53 +58,50 @@ def levenberg_marquardt(c0: np.ndarray, residual, jacobian, options: RefineOptio
     Returns (c_best, ||residual(c_best)||, iterations).
     """
     opts = options or RefineOptions()
-    h = len(c0)
-    x = np.concatenate([np.asarray(c0).real, np.asarray(c0).imag])
-
-    def unpack(xv):
-        return xv[:h] + 1j * xv[h:]
-
-    r, J = _realize(residual(unpack(x)), jacobian(unpack(x)))
-    cost = 0.5 * (r @ r)
-    best_x, best_cost = x.copy(), cost
-    mu = opts.init_damping * max(np.max(np.sum(J * J, axis=0)), np.finfo(float).tiny)
+    c = np.array(c0, dtype=np.complex128)
+    r, J = residual(c), jacobian(c)
+    cost = 0.5 * np.vdot(r, r).real
+    best_c, best_cost = c, cost
+    mu = opts.init_damping * max(np.max(np.sum(np.abs(J) ** 2, axis=0)), np.finfo(float).tiny)
     nu = 2.0
     iters = 0
     for iters in range(1, opts.max_iterations + 1):
-        g = J.T @ r
-        if np.max(np.abs(g)) <= opts.grad_tol:
+        Jh = J.conj().T
+        g = Jh @ r
+        # the real gradient over (Re c, Im c) is (Re g, Im g)
+        if np.max(np.abs(g.view(np.float64))) <= opts.grad_tol:
             break
         if np.sqrt(2.0 * cost) <= opts.residual_tol:
             break
-        H = J.T @ J
+        H = Jh @ J
+        H[np.diag_indices_from(H)] += mu
         try:
-            step = np.linalg.solve(H + mu * np.eye(2 * h), -g)
+            step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
             mu *= nu
             nu *= 2.0
             continue
-        if np.linalg.norm(step) <= opts.step_tol * (1.0 + np.linalg.norm(x)):
+        if np.linalg.norm(step) <= opts.step_tol * (1.0 + np.linalg.norm(c)):
             break
-        x_new = x + step
-        r_new = residual(unpack(x_new))
-        r_new_real = np.concatenate([r_new.real, r_new.imag])
-        cost_new = 0.5 * (r_new_real @ r_new_real)
-        predicted = 0.5 * (step @ (mu * step - g))
+        c_new = c + step
+        r_new = residual(c_new)
+        cost_new = 0.5 * np.vdot(r_new, r_new).real
+        predicted = 0.5 * np.vdot(step, mu * step - g).real
         rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
         if cost_new < cost:
-            x, cost = x_new, cost_new
-            r, J = _realize(r_new, jacobian(unpack(x)))
+            c, r, cost = c_new, r_new, cost_new
+            J = jacobian(c)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             mu = max(mu, 1e-300)
             nu = 2.0
             if cost < best_cost:
-                best_x, best_cost = x.copy(), cost
+                best_c, best_cost = c, cost
         else:
             mu *= nu
             nu *= 2.0
             if mu > 1e18:
                 break
-    return unpack(best_x), float(np.sqrt(2.0 * best_cost)), iters
+    return best_c, float(np.sqrt(2.0 * best_cost)), iters
 
 
 def sym_residual_map(F: SymTensor, r: int):

@@ -231,6 +231,9 @@ class TestCli:
         assert main(["rank-est", "--split", "junk", tns]) == EXIT_PRECONDITION
         # unknown flag
         assert main(["approx-sym", "--bogus", tns]) == EXIT_PRECONDITION
+        # --split belongs to rank-est only, and bench has no scale
+        assert main(["approx-ns", "--rank", "2", "--split", "1,2|3", tns]) == EXIT_PRECONDITION
+        assert main(["bench", "--preset", "table1", "--scale", "desk"]) == EXIT_PRECONDITION
 
     def test_dimension_one_sym_file(self, tmp_path, capsys):
         tns = tmp_path / "one.tns"
@@ -248,6 +251,7 @@ class TestCli:
             ("4,3,3", "0", "rank must be in 1..4"),
             ("4,3,3", "-1", "rank must be in 1..4"),
             ("5,3,1", "1", "mode 3 has dimension 1"),
+            ("8,8,3", "5", "rank 5 exceeds the 3 rows of the system for mode 2"),
         ],
     )
     def test_approx_ns_preconditions(self, tmp_path, capsys, dims, rank, message):
@@ -266,12 +270,15 @@ class TestCli:
         sym, dense, rep = (str(tmp_path / name) for name in ("s.tns", "d.tns", "t.rep"))
         main(["gen", "--kind", "sym", "--dims", "3,2", "--rank", "1", "-o", sym])
         assert main(["approx-sym", "--rank", "1", sym, "-o", rep]) == EXIT_OK
-        assert parse_report(rep)["meta"]["dims"] == (3, 3)
+        report = parse_report(rep)
+        assert report["meta"]["dims"] == (3, 3)
+        assert set(report["result"]) == {"residual_gp", "refined", "xi_seed"}
         main(["gen", "--kind", "ns", "--dims", "3,5,4", "--rank", "2", "-o", dense])
         assert main(["approx-ns", "--rank", "2", dense, "-o", rep]) == EXIT_OK
         report = parse_report(rep)
         assert report["meta"]["dims"] == (3, 5, 4)
         assert report["result"]["mode_permutation"] == (2, 1, 3)
+        assert set(report["result"]) == {"residual_gp", "refined", "xi_seed", "mode_permutation"}
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL) == (0, 2, 3)

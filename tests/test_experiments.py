@@ -119,8 +119,6 @@ class TestPresets:
     def test_unknown_preset_and_scale(self):
         with pytest.raises(ValueError):
             bench_preset("table9")
-        with pytest.raises(ValueError):
-            bench_preset("table1", scale="cluster")
 
     def test_preset_headers_mention_scale(self):
         # run the smallest preset row only indirectly: headers are cheap

@@ -117,7 +117,9 @@ class TestExtraction:
 
 class TestPipeline:
     @pytest.mark.parametrize(
-        "dims,r,seed", [((5, 4, 3), 2, 0), ((6, 6, 6), 4, 1), ((4, 5, 3, 3), 2, 2)]
+        "dims,r,seed",
+        # (12, 3, 3, 3) r=8: every mode system has 9 rows, enough for r = 8
+        [((5, 4, 3), 2, 0), ((6, 6, 6), 4, 1), ((4, 5, 3, 3), 2, 2), ((12, 3, 3, 3), 8, 1)],
     )
     def test_exact_recovery(self, dims, r, seed):
         F, _, _ = gen_random_ns(dims, r, 0.0, seed=seed)
@@ -148,6 +150,15 @@ class TestPipeline:
         for r in (5, 0, -1):
             with pytest.raises(ValueError, match=r"rank must be in 1\.\.4"):
                 approx_nonsym(F, r)
+
+    @pytest.mark.parametrize(
+        "dims,r,rows",
+        [((8, 8, 3), 5, 3), ((20, 5, 5), 10, 5), ((10, 4, 4), 6, 4), ((20, 20, 5), 10, 5)],
+    )
+    def test_mode_system_with_fewer_rows_than_rank(self, dims, r, rows):
+        F, _, _ = gen_random_ns(dims, r, 0.0, seed=1)
+        with pytest.raises(ValueError, match=f"rank {r} exceeds the {rows} rows"):
+            approx_nonsym(F, r)
 
     @pytest.mark.parametrize("dims,mode", [((5, 3, 1), 3), ((1, 4, 3), 1), ((4, 1, 1, 3), 2)])
     def test_dimension_one_mode_rejected(self, dims, mode):

@@ -64,6 +64,63 @@ def loop_ns_jacobian(F, r, c):
     return J
 
 
+def real_embedded_lm(c0, residual, jacobian, options=None):
+    """The solver on the stacked real vector (Re c, Im c) with the real Jacobian
+    [[Re J, -Im J], [Im J, Re J]]; the complex solver must follow the same iterates."""
+    opts = options or RefineOptions()
+    h = len(c0)
+
+    def realize(rc, Jc):
+        Jr = np.block([[Jc.real, -Jc.imag], [Jc.imag, Jc.real]])
+        return np.concatenate([rc.real, rc.imag]), Jr
+
+    def unpack(xv):
+        return xv[:h] + 1j * xv[h:]
+
+    x = np.concatenate([np.asarray(c0).real, np.asarray(c0).imag])
+    r, J = realize(residual(unpack(x)), jacobian(unpack(x)))
+    cost = 0.5 * (r @ r)
+    best_x, best_cost = x.copy(), cost
+    mu = opts.init_damping * max(np.max(np.sum(J * J, axis=0)), np.finfo(float).tiny)
+    nu = 2.0
+    iters = 0
+    for iters in range(1, opts.max_iterations + 1):
+        g = J.T @ r
+        if np.max(np.abs(g)) <= opts.grad_tol:
+            break
+        if np.sqrt(2.0 * cost) <= opts.residual_tol:
+            break
+        H = J.T @ J
+        try:
+            step = np.linalg.solve(H + mu * np.eye(2 * h), -g)
+        except np.linalg.LinAlgError:
+            mu *= nu
+            nu *= 2.0
+            continue
+        if np.linalg.norm(step) <= opts.step_tol * (1.0 + np.linalg.norm(x)):
+            break
+        x_new = x + step
+        r_new = residual(unpack(x_new))
+        r_new_real = np.concatenate([r_new.real, r_new.imag])
+        cost_new = 0.5 * (r_new_real @ r_new_real)
+        predicted = 0.5 * (step @ (mu * step - g))
+        rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
+        if cost_new < cost:
+            x, cost = x_new, cost_new
+            r, J = realize(r_new, jacobian(unpack(x)))
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            mu = max(mu, 1e-300)
+            nu = 2.0
+            if cost < best_cost:
+                best_x, best_cost = x.copy(), cost
+        else:
+            mu *= nu
+            nu *= 2.0
+            if mu > 1e18:
+                break
+    return unpack(best_x), float(np.sqrt(2.0 * best_cost)), iters
+
+
 class TestJacobians:
     @pytest.mark.parametrize("n,m,r", [(4, 2, 2), (5, 3, 3), (3, 4, 2), (6, 3, 1)])
     def test_sym_jacobian_equals_loop_oracle(self, n, m, r):
@@ -175,6 +232,48 @@ class TestMonotonicity:
         noisy = [[v + 1e-3 * rng.standard_normal(len(v)) for v in tup] for tup in tuples]
         _, res = refine_nonsym(F, noisy)
         assert res <= 1e-8
+
+
+class TestAgainstRealEmbedding:
+    @staticmethod
+    def start(kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "sym":
+            F, _, _ = gen_random_sym(5, 3, 2, 0.1, seed=seed)
+            residual, jacobian = sym_residual_map(F, 2)
+        else:
+            F, _, _ = gen_random_ns((4, 3, 3), 2, 0.1, seed=seed)
+            residual, jacobian, _ = ns_residual_map(F, 2)
+        h = 2 * (F.n if kind == "sym" else sum(F.dims))
+        return rng.standard_normal(h) + 1j * rng.standard_normal(h), residual, jacobian
+
+    # The default tolerances sit at the rounding floor, where the last few steps
+    # depend on the order of the arithmetic; a looser grad_tol ends both solvers
+    # on the same iterate, so the iteration counts can be compared exactly.
+    @pytest.mark.parametrize(
+        "kind,seed,rejects", [("sym", 0, False), ("dense", 7, False), ("dense", 0, True)]
+    )
+    def test_same_iterates_as_real_embedding(self, kind, seed, rejects):
+        c0, residual, jacobian = self.start(kind, seed)
+        calls = {"residual": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapped(c):
+                calls[name] += 1
+                return fn(c)
+
+            return wrapped
+
+        opts = RefineOptions(grad_tol=1e-6)
+        c_ref, res_ref, iters_ref = real_embedded_lm(c0, residual, jacobian, opts)
+        c, res, iters = levenberg_marquardt(
+            c0, counted("residual", residual), counted("jacobian", jacobian), opts
+        )
+        assert iters == iters_ref
+        assert np.linalg.norm(c - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
+        assert abs(res - res_ref) <= 1e-10 * res_ref
+        # every attempted step evaluates the residual, every accepted one the Jacobian
+        assert (calls["residual"] > calls["jacobian"]) == rejects
 
 
 class TestSolverCore:
