@@ -15,7 +15,7 @@ import numpy as np
 
 from .generate import gen_random_ns, gen_random_sym
 from .linalg import NumericalError
-from .nonsymapprox import approx_nonsym
+from .nonsymapprox import approx_nonsym, check_shape_ns
 from .symapprox import approx_sym
 
 __all__ = ["InstanceSpec", "TrialResult", "RunReport", "relerr", "run_experiment", "bench_preset"]
@@ -39,6 +39,8 @@ class InstanceSpec:
             raise ValueError(f"sym dims must be (n, m), got {self.dims}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
+        if self.kind == "nonsym":
+            check_shape_ns(self.dims, self.rank)
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.trials < 1:

@@ -63,15 +63,21 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray, rcond: float = DEFAULT_RCOND) -
     return x
 
 
-def svd(A: np.ndarray):
-    """Full SVD A = U diag(s) V*; returns (U, s, V) with s nonincreasing."""
+def svd(A: np.ndarray, compute_uv: bool = True):
+    """Full SVD A = U diag(s) V*; returns (U, s, V) with s nonincreasing.
+
+    With compute_uv=False only s is computed and returned.
+    """
     A = np.asarray(A, dtype=np.complex128)
     if A.size == 0:
         raise ValueError("svd of an empty matrix")
     try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=True)
+        out = np.linalg.svd(A, full_matrices=True, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+    if not compute_uv:
+        return out
+    U, s, Vh = out
     return U, s, Vh.conj().T
 
 

@@ -10,6 +10,7 @@ with one shared design matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ from .tensors import DenseTensor, khatri_rao
 __all__ = [
     "NsGenMatrix",
     "NsApproxResult",
+    "check_shape_ns",
     "mode_permute",
     "assemble_system_ns",
     "solve_generating_matrix_ns",
@@ -66,6 +68,38 @@ class NsApproxResult:
         return self.residual_opt if self.refined else self.residual_gp
 
 
+def _check_mode_rows(dims, r: int) -> None:
+    """Raise ValueError when the system of some mode j >= 2 has fewer rows than r.
+
+    The system of mode j has one row per index of the modes other than 1 and j.
+    """
+    total = math.prod(dims)
+    for j in range(2, len(dims) + 1):
+        rows = total // (dims[0] * dims[j - 1])
+        if rows < r:
+            raise ValueError(
+                f"rank {r} exceeds the {rows} rows of the system for mode {j}; "
+                f"the least squares would be underdetermined"
+            )
+
+
+def check_shape_ns(dims, r: int) -> None:
+    """Raise ValueError unless `approx_nonsym` can fit rank r to a tensor of these dims.
+
+    It needs order >= 3, r in 1..max(dims), every mode of dimension >= 2, and at
+    least r rows in the system of every mode once the largest mode is first.
+    """
+    dims = tuple(dims)
+    if len(dims) < 3:
+        raise ValueError("nonsymmetric pipeline needs order >= 3")
+    if not 1 <= r <= max(dims):
+        raise ValueError(f"rank must be in 1..{max(dims)} (the largest dimension), got {r}")
+    if 1 in dims:
+        raise ValueError(f"mode {dims.index(1) + 1} has dimension 1; every mode needs >= 2")
+    first = int(np.argmax(dims))
+    _check_mode_rows((dims[first],) + dims[:first] + dims[first + 1 :], r)
+
+
 def mode_permute(F: DenseTensor):
     """Reorder modes so the first dimension is the largest.
 
@@ -99,15 +133,11 @@ def assemble_system_ns(F: DenseTensor, j: int, r: int):
 def solve_generating_matrix_ns(F: DenseTensor, r: int, rcond: float = DEFAULT_RCOND) -> NsGenMatrix:
     """Least-squares generating matrix; one factorization per mode j."""
     m = F.order
+    _check_mode_rows(F.dims, r)
     blocks = {}
     residuals = {}
     for j in range(2, m + 1):
         A, B = assemble_system_ns(F, j, r)
-        if A.shape[0] < r:
-            raise ValueError(
-                f"rank {r} exceeds the {A.shape[0]} rows of the system for mode {j}; "
-                f"the least squares would be underdetermined"
-            )
         nj = F.dims[j - 1]
         rhs = B.reshape(r * (nj - 1), -1).T  # columns: (i, k) pairs
         X = lstsq_min_norm(A, rhs, rcond=rcond)
@@ -211,11 +241,8 @@ def approx_nonsym(
     a local nonlinear least-squares polish is kept if it does not worsen the
     residual (see `refine.refine_if_helps`).
     """
+    check_shape_ns(F.dims, r)
     Fp, perm = mode_permute(F)
-    if not 1 <= r <= Fp.dims[0]:
-        raise ValueError(f"rank must be in 1..{Fp.dims[0]} (the largest dimension), got {r}")
-    if 1 in F.dims:
-        raise ValueError(f"mode {F.dims.index(1) + 1} has dimension 1; every mode needs >= 2")
     rng = np.random.default_rng(seed)
     m = F.order
 

@@ -120,11 +120,11 @@ def estimate_rank(
 
 def spectrum_sym(t: SymTensor, **kwargs) -> SpectrumReport:
     cat = catalecticant_sym(t)
-    _, s, _ = svd(cat)
+    s = svd(cat, compute_uv=False)
     return estimate_rank(s, shape=cat.shape, **kwargs)
 
 
 def spectrum_ns(t: DenseTensor, split=None, **kwargs) -> SpectrumReport:
     cat = catalecticant_ns(t, split=split)
-    _, s, _ = svd(cat)
+    s = svd(cat, compute_uv=False)
     return estimate_rank(s, shape=cat.shape, **kwargs)

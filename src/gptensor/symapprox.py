@@ -14,6 +14,7 @@ of their power vector, so minimizing the compact objective minimizes the true
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,22 @@ class MonomialBasisPair:
     @property
     def max_degree(self) -> int:
         return max(sum(a) for a in self.B1)
+
+    @cached_property
+    def shift_index(self) -> np.ndarray:
+        """(nbar, r) table: entry [i-1, k] locates x_i * B0[k] as B0[index] or B1[index - r].
+
+        B0 is rows 0..r-1 of the graded-lex listing and B1 the other shift rows in
+        order, so a shift row below r is its B0 index and the rank of any other
+        among the distinct shift rows is its B1 index.
+        """
+        r, nbar = self.rank, self.nbar
+        eye = np.eye(nbar, dtype=np.int64)[:, None]
+        rows = grlex_position(nbar, self.max_degree, np.array(self.B0)[None], eye)
+        outside = rows >= r
+        rows[outside] = r + np.searchsorted(np.unique(rows[outside]), rows[outside])
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)
@@ -148,15 +165,11 @@ def companion_matrix(gm: SymGenMatrix, i: int) -> np.ndarray:
     if not 1 <= i <= bases.nbar:
         raise ValueError(f"variable index {i} out of range 1..{bases.nbar}")
     r = bases.rank
-    pos0 = {a: k for k, a in enumerate(bases.B0)}
-    pos1 = {a: k for k, a in enumerate(bases.B1)}
+    index = bases.shift_index[i - 1]
+    inside = index < r
     M = np.zeros((r, r), dtype=np.complex128)
-    for col, nu in enumerate(bases.B0):
-        shifted = tuple(v + (1 if k == i - 1 else 0) for k, v in enumerate(nu))
-        if shifted in pos0:
-            M[pos0[shifted], col] = 1.0
-        else:
-            M[:, col] = gm.G[:, pos1[shifted]]
+    M[index[inside], np.flatnonzero(inside)] = 1.0
+    M[:, ~inside] = gm.G[:, index[~inside] - r]
     return M
 
 

@@ -12,6 +12,9 @@ from gptensor.experiments import (
     trial_seeds,
 )
 from gptensor.generate import gen_random_sym
+from gptensor.linalg import NumericalError
+from gptensor.nonsymapprox import approx_nonsym
+from gptensor.tensors import DenseTensor
 
 
 class TestRelerr:
@@ -53,6 +56,21 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="rank must be >= 1"):
                 InstanceSpec("nonsym", (4, 3, 3), rank)
 
+    @pytest.mark.parametrize(
+        "dims,rank,message",
+        [
+            ((4, 3), 2, "needs order >= 3"),
+            ((5, 1, 4), 2, "mode 2 has dimension 1"),
+            ((3, 3, 3), 5, r"rank must be in 1\.\.3"),
+            ((8, 8, 3), 5, "rank 5 exceeds the 3 rows of the system for mode 2"),
+        ],
+    )
+    def test_unsolvable_nonsym_spec_rejected_like_the_solver(self, dims, rank, message):
+        with pytest.raises(ValueError, match=message):
+            InstanceSpec("nonsym", dims, rank)
+        with pytest.raises(ValueError, match=message):
+            approx_nonsym(DenseTensor(np.arange(1.0, np.prod(dims) + 1).reshape(dims)), rank)
+
 
 class TestRunExperiment:
     def test_decomposition_mode(self):
@@ -84,12 +102,21 @@ class TestRunExperiment:
         assert len(set(s1)) == 10
         assert s1 != trial_seeds(4, 10)
 
-    def test_errors_recorded_not_raised(self):
-        # rank exceeds what the kernel supports for these dims -> per-trial error
-        spec = InstanceSpec("nonsym", (3, 3, 3), 5, 0.0, seed=2, trials=2)
-        rep = run_experiment(spec)
-        assert rep.failures == 2
-        assert all(t.error for t in rep.trials)
+    def test_errors_recorded_not_raised(self, monkeypatch):
+        # the first trial's solve fails; it is recorded and the second one still runs
+        failed = []
+
+        def fail_once(F, r, **kwargs):
+            if not failed:
+                failed.append(r)
+                raise NumericalError("Schur decomposition failed")
+            return approx_nonsym(F, r, **kwargs)
+
+        monkeypatch.setattr(experiments, "approx_nonsym", fail_once)
+        rep = run_experiment(InstanceSpec("nonsym", (3, 3, 3), 2, 0.0, seed=2, trials=2))
+        assert rep.failures == 1
+        assert rep.trials[0].error == "NumericalError: Schur decomposition failed"
+        assert rep.trials[1].error is None and rep.trials[1].rel_residual <= 1e-8
 
     def test_failed_trial_records_its_type(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -229,3 +229,22 @@ class TestJointEigenvalues:
             positive_combination(Ms[0], [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             positive_combination(np.zeros((2, 3, 4)), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 7), (1, 1)])
+def test_svd_values_only_match_numpy(shape):
+    rng = np.random.default_rng(sum(shape))
+    A = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s = svd(A, compute_uv=False)
+    assert np.allclose(s, np.linalg.svd(A, compute_uv=False), rtol=1e-14, atol=0)
+    assert np.allclose(s, svd(A)[1], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("compute_uv", [True, False])
+def test_svd_failure_is_numerical_error(monkeypatch, compute_uv):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(NumericalError, match="SVD did not converge"):
+        svd(np.eye(2), compute_uv=compute_uv)

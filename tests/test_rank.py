@@ -94,6 +94,14 @@ class TestEstimateRank:
         with pytest.raises(ValueError):
             estimate_rank(np.array([1.0]), gap_factor=1.0)
 
+    def test_spectra_are_the_singular_values_of_the_flattenings(self):
+        F, _, _ = gen_random_sym(4, 4, 2, 0.1, seed=5)
+        s = np.linalg.svd(catalecticant_sym(F), compute_uv=False)
+        assert np.allclose(spectrum_sym(F).singular_values, s, rtol=1e-14, atol=0)
+        D, _, _ = gen_random_ns((4, 3, 5), 2, 0.1, seed=5)
+        s = np.linalg.svd(catalecticant_ns(D), compute_uv=False)
+        assert np.allclose(spectrum_ns(D).singular_values, s, rtol=1e-14, atol=0)
+
     def test_rank1_tensor_suggests_one(self):
         F, _, _ = gen_random_sym(5, 3, 1, 0.0, seed=3)
         assert spectrum_sym(F).suggested_rank == 1

@@ -3,13 +3,16 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from gptensor import refine
 from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.refine import (
     RefineOptions,
     levenberg_marquardt,
+    ns_normal_map,
     ns_residual_map,
     refine_nonsym,
     refine_sym,
+    sym_normal_map,
     sym_residual_map,
 )
 from gptensor.tensors import outer_product, sym_power
@@ -174,6 +177,69 @@ class TestJacobians:
         assert np.linalg.norm(J - Jfd) <= 1e-6 * max(1.0, np.linalg.norm(J))
 
 
+def gram_error(normal, residual, jacobian, c):
+    """Largest relative deviation of normal(c, r) from (J^H J, J^H r)."""
+    r, J = residual(c), jacobian(c)
+    H, g = normal(c, r)
+    Jh = J.conj().T
+    return max(
+        np.max(np.abs(H - Jh @ J)) / np.max(np.abs(Jh @ J)),
+        np.max(np.abs(g - Jh @ r)) / np.max(np.abs(Jh @ r)),
+    )
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize(
+        "n,m,r", [(4, 2, 3), (5, 3, 2), (10, 3, 5), (3, 4, 2), (6, 5, 2), (4, 3, 1), (3, 1, 2)]
+    )
+    def test_sym_normal_equals_jacobian_products(self, n, m, r):
+        rng = np.random.default_rng(10 * n + m + r)
+        F, _, _ = gen_random_sym(n, m, r, 0.1, seed=n + m)
+        c = rng.standard_normal(r * n) + 1j * rng.standard_normal(r * n)
+        c[0] = c[-1] = 0.0  # zero coordinates, the implicit x0 of u_0 included
+        residual, jacobian = sym_residual_map(F, r)
+        assert gram_error(sym_normal_map(F, r), residual, jacobian, c) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "dims,r", [((4, 3, 3), 2), ((10, 10, 10), 5), ((5, 4, 3, 3), 3), ((2, 3, 2), 1)]
+    )
+    def test_ns_normal_equals_jacobian_products(self, dims, r):
+        rng = np.random.default_rng(sum(dims) + r)
+        F, _, _ = gen_random_ns(dims, r, 0.1, seed=r)
+        c = rng.standard_normal(r * sum(dims)) + 1j * rng.standard_normal(r * sum(dims))
+        c[1] = 0.0
+        residual, jacobian, _ = ns_residual_map(F, r)
+        assert gram_error(ns_normal_map(F, r), residual, jacobian, c) <= 1e-14
+
+    def test_refinement_never_forms_the_jacobian(self, monkeypatch):
+        calls = {"jacobian": 0, "residual": 0}
+
+        def counting(make):
+            def residual_map(F, r):
+                residual, jacobian, *rest = make(F, r)
+
+                def counted_jacobian(c):
+                    calls["jacobian"] += 1
+                    return jacobian(c)
+
+                def counted_residual(c):
+                    calls["residual"] += 1
+                    return residual(c)
+
+                return (counted_residual, counted_jacobian, *rest)
+
+            return residual_map
+
+        monkeypatch.setattr(refine, "sym_residual_map", counting(sym_residual_map))
+        monkeypatch.setattr(refine, "ns_residual_map", counting(ns_residual_map))
+        rng = np.random.default_rng(11)
+        F, _, _ = gen_random_sym(4, 3, 2, 0.1, seed=11)
+        refine_sym(F, rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+        F, _, _ = gen_random_ns((4, 3, 3), 2, 0.1, seed=11)
+        refine_nonsym(F, [[rng.standard_normal(d) + 0j for d in F.dims] for _ in range(2)])
+        assert calls["residual"] > 2 and calls["jacobian"] == 0
+
+
 class TestMonotonicity:
     def test_sym_never_worsens_random_starts(self):
         for seed in range(6):
@@ -240,12 +306,12 @@ class TestAgainstRealEmbedding:
         rng = np.random.default_rng(seed)
         if kind == "sym":
             F, _, _ = gen_random_sym(5, 3, 2, 0.1, seed=seed)
-            residual, jacobian = sym_residual_map(F, 2)
+            (residual, jacobian), normal = sym_residual_map(F, 2), sym_normal_map(F, 2)
         else:
             F, _, _ = gen_random_ns((4, 3, 3), 2, 0.1, seed=seed)
-            residual, jacobian, _ = ns_residual_map(F, 2)
+            (residual, jacobian, _), normal = ns_residual_map(F, 2), ns_normal_map(F, 2)
         h = 2 * (F.n if kind == "sym" else sum(F.dims))
-        return rng.standard_normal(h) + 1j * rng.standard_normal(h), residual, jacobian
+        return rng.standard_normal(h) + 1j * rng.standard_normal(h), residual, jacobian, normal
 
     # The default tolerances sit at the rounding floor, where the last few steps
     # depend on the order of the arithmetic; a looser grad_tol ends both solvers
@@ -254,26 +320,26 @@ class TestAgainstRealEmbedding:
         "kind,seed,rejects", [("sym", 0, False), ("dense", 7, False), ("dense", 0, True)]
     )
     def test_same_iterates_as_real_embedding(self, kind, seed, rejects):
-        c0, residual, jacobian = self.start(kind, seed)
-        calls = {"residual": 0, "jacobian": 0}
+        c0, residual, jacobian, normal = self.start(kind, seed)
+        calls = {"residual": 0, "normal": 0}
 
         def counted(name, fn):
-            def wrapped(c):
+            def wrapped(*args):
                 calls[name] += 1
-                return fn(c)
+                return fn(*args)
 
             return wrapped
 
         opts = RefineOptions(grad_tol=1e-6)
         c_ref, res_ref, iters_ref = real_embedded_lm(c0, residual, jacobian, opts)
         c, res, iters = levenberg_marquardt(
-            c0, counted("residual", residual), counted("jacobian", jacobian), opts
+            c0, counted("residual", residual), counted("normal", normal), opts
         )
         assert iters == iters_ref
         assert np.linalg.norm(c - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
         assert abs(res - res_ref) <= 1e-10 * res_ref
-        # every attempted step evaluates the residual, every accepted one the Jacobian
-        assert (calls["residual"] > calls["jacobian"]) == rejects
+        # every attempted step evaluates the residual, every accepted one the normal equations
+        assert (calls["residual"] > calls["normal"]) == rejects
 
 
 class TestSolverCore:
@@ -285,10 +351,10 @@ class TestSolverCore:
         def residual(c):
             return A @ c - b
 
-        def jacobian(c):
-            return A
+        def normal(c, r):
+            return A.conj().T @ A, A.conj().T @ r
 
-        c, res, iters = levenberg_marquardt(np.zeros(3, dtype=complex), residual, jacobian)
+        c, res, iters = levenberg_marquardt(np.zeros(3, dtype=complex), residual, normal)
         x_ls = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.allclose(c, x_ls, atol=1e-6)
         assert np.isclose(res, np.linalg.norm(A @ x_ls - b), atol=1e-8)

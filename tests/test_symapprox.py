@@ -94,7 +94,31 @@ class TestGeneratingMatrix:
             solve_generating_matrix(F, 4)
 
 
+def dict_companion_matrix(gm, i):
+    """Multiplication by x_i through position dicts of B0 and B1, one column at a time."""
+    pos0 = {a: k for k, a in enumerate(gm.bases.B0)}
+    pos1 = {a: k for k, a in enumerate(gm.bases.B1)}
+    r = gm.bases.rank
+    M = np.zeros((r, r), dtype=np.complex128)
+    for col, nu in enumerate(gm.bases.B0):
+        shifted = tuple(v + (k == i - 1) for k, v in enumerate(nu))
+        if shifted in pos0:
+            M[pos0[shifted], col] = 1.0
+        else:
+            M[:, col] = gm.G[:, pos1[shifted]]
+    return M
+
+
 class TestCompanionMatrices:
+    @pytest.mark.parametrize(
+        "n,m,r", [(2, 3, 2), (4, 3, 3), (5, 3, 4), (4, 5, 6), (6, 5, 10), (15, 4, 10)]
+    )
+    def test_equals_position_dict_oracle(self, n, m, r):
+        F, _, _ = gen_random_sym(n, m, r, 0.1, seed=r)
+        gm = solve_generating_matrix(F, r)
+        for i in range(1, n):
+            assert np.array_equal(companion_matrix(gm, i), dict_companion_matrix(gm, i))
+
     def test_commute_and_recover_points_for_exact_tensor(self):
         F, _, _ = gen_random_sym(5, 3, 3, 0.0, seed=4)
         gm = solve_generating_matrix(F, 3)
