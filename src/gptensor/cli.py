@@ -14,9 +14,9 @@ import numpy as np
 
 from .experiments import bench_preset
 from .generate import NAMED_TENSORS, gen_random_ns, gen_random_sym, named_tensor
-from .linalg import DEFAULT_RCOND, NumericalError
+from .linalg import NumericalError
 from .nonsymapprox import approx_nonsym
-from .rank import DEFAULT_FLOOR, DEFAULT_GAP_FACTOR, spectrum_ns, spectrum_sym
+from .rank import spectrum_ns, spectrum_sym
 from .symapprox import approx_sym
 from .tensorio import FormatError, read_tensor, render_report, write_report, write_tensor
 from .tensors import DenseTensor, SymTensor
@@ -47,7 +47,7 @@ def _cmd_approx_sym(args) -> int:
     F = read_tensor(args.file)
     if not isinstance(F, SymTensor):
         raise ValueError("approx-sym requires a symmetric tensor file")
-    res = approx_sym(F, args.rank, refine=not args.no_refine, seed=args.seed, rcond=args.rcond)
+    res = approx_sym(F, args.rank, refine=not args.no_refine, seed=args.seed)
     meta = {
         "kind": "sym",
         "order": F.m,
@@ -76,7 +76,7 @@ def _cmd_approx_ns(args) -> int:
     F = read_tensor(args.file)
     if not isinstance(F, DenseTensor) or F.order < 3:
         raise ValueError("approx-ns requires a dense tensor file of order >= 3")
-    res = approx_nonsym(F, args.rank, refine=not args.no_refine, seed=args.seed, rcond=args.rcond)
+    res = approx_nonsym(F, args.rank, refine=not args.no_refine, seed=args.seed)
     meta = {
         "kind": "dense",
         "order": F.order,
@@ -106,15 +106,14 @@ def _cmd_approx_ns(args) -> int:
 
 def _cmd_rank_est(args) -> int:
     F = read_tensor(args.file)
-    kwargs = {"gap_factor": args.gap_factor, "floor": args.floor}
     if isinstance(F, SymTensor):
         if args.split:
             raise ValueError("--split applies only to dense tensors")
-        spec = spectrum_sym(F, **kwargs)
+        spec = spectrum_sym(F)
         meta = {"kind": "sym", "order": F.m, "dims": (F.n,) * F.m}
     else:
         split = _parse_split(args.split) if args.split else None
-        spec = spectrum_ns(F, split=split, **kwargs)
+        spec = spectrum_ns(F, split=split)
         meta = {"kind": "dense", "order": F.order, "dims": F.dims}
     sections = {
         "spectrum": {
@@ -173,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--rcond", type=float, default=DEFAULT_RCOND)
         sp.add_argument("--no-refine", action="store_true")
         sp.add_argument("-o", "--output", default=None, help="report file (default: stdout)")
         sp.add_argument("file")
@@ -189,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_approx_ns)
 
     sp = sub.add_parser("rank-est", help="suggest a rank from a flattening spectrum")
-    sp.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR)
-    sp.add_argument("--floor", type=float, default=DEFAULT_FLOOR)
     sp.add_argument("--split", default=None, help="mode bipartition, e.g. 1,2|3")
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("file")

@@ -62,82 +62,53 @@ def gen_random_ns(dims, r: int, eps: float = 0.0, seed: int = 0):
     return R + E, R, E
 
 
-def _sym(n, default_n, m, fn):
-    return SymTensor.from_function(default_n if n is None else n, m, fn)
+# symmetric family -> (default n, order, entry formula of the 1-based indices)
+_SYM_NAMED = {
+    "sin3": (6, 3, lambda i, j, k: np.sin(i + j + k)),
+    "recip3": (10, 3, lambda i, j, k: 1.0 / (i + j + k)),
+    "exp4": (5, 4, lambda i, j, k, l: np.exp(-float(i * j * k * l))),
+    "log4": (5, 4, lambda i, j, k, l: np.log(float(i + j + k + l))),
+    "sqrt5": (4, 5, lambda *ix: np.sqrt(float(sum(v * v for v in ix)))),
+    "logexp6": (4, 6, lambda *ix: np.log(float(np.prod(ix)) + np.exp(float(sum(ix))))),
+}
 
+# dense family -> (dims, entry formula evaluated on the 1-based index grids)
+_DENSE_NAMED = {
+    "expsum3": ((7, 6, 5), lambda i, j, k: 1.0 / (np.exp(i) + np.exp(j**2) + np.exp(k**3))),
+    "cos3": ((5, 4, 4), lambda i, j, k: np.cos(i - j - k) + 0.0j),
+    "recip4": ((8, 7, 6, 5), lambda i, j, k, l: 1.0 / (1 + i + 2 * j + 3 * k + 4 * l)),
+    "coscross4": (
+        (5, 5, 4, 4),
+        lambda i, j, k, l: np.cos(i + j - k - l) - 1e-3 * np.sin(i * j * k * l) + 0.0j,
+    ),
+    "arctan5": (
+        (9, 8, 7, 6, 5),
+        lambda i, j, k, l, p: np.arctan(i * j**2 * k**3 * l**4 * p**5, dtype=np.float64),
+    ),
+    "logexp6ns": (
+        (5, 5, 5, 4, 4, 4),
+        lambda i1, i2, i3, i4, i5, i6: np.log(
+            1.0 + np.exp(np.float64(i1 * i2 * i3) + np.float64(i4 * i5 * i6))
+        ),
+    ),
+}
 
-def _dense(dims, fn):
-    grids = np.meshgrid(*[np.arange(1, d + 1) for d in dims], indexing="ij")
-    return DenseTensor(fn(*grids).astype(np.complex128))
-
-
-def _make_named(name: str, n: int | None):
-    if name == "sin3":
-        return _sym(n, 6, 3, lambda i, j, k: np.sin(i + j + k))
-    if name == "recip3":
-        return _sym(n, 10, 3, lambda i, j, k: 1.0 / (i + j + k))
-    if name == "exp4":
-        return _sym(n, 5, 4, lambda i, j, k, l: np.exp(-float(i * j * k * l)))
-    if name == "log4":
-        return _sym(n, 5, 4, lambda i, j, k, l: np.log(float(i + j + k + l)))
-    if name == "sqrt5":
-        return _sym(n, 4, 5, lambda *ix: np.sqrt(float(sum(v * v for v in ix))))
-    if name == "logexp6":
-        return _sym(n, 4, 6, lambda *ix: np.log(float(np.prod(ix)) + np.exp(float(sum(ix)))))
-    if name == "expsum3":
-        return _dense(
-            (7, 6, 5), lambda i, j, k: 1.0 / (np.exp(i) + np.exp(j**2) + np.exp(k**3))
-        )
-    if name == "cos3":
-        return _dense((5, 4, 4), lambda i, j, k: np.cos(i - j - k) + 0.0j)
-    if name == "recip4":
-        return _dense((8, 7, 6, 5), lambda i, j, k, l: 1.0 / (1 + i + 2 * j + 3 * k + 4 * l))
-    if name == "coscross4":
-        return _dense(
-            (5, 5, 4, 4),
-            lambda i, j, k, l: np.cos(i + j - k - l) - 1e-3 * np.sin(i * j * k * l) + 0.0j,
-        )
-    if name == "arctan5":
-        return _dense(
-            (9, 8, 7, 6, 5),
-            lambda i, j, k, l, p: np.arctan(
-                i * j**2 * k**3 * l**4 * p**5, dtype=np.float64
-            ),
-        )
-    if name == "logexp6ns":
-        return _dense(
-            (5, 5, 5, 4, 4, 4),
-            lambda i1, i2, i3, i4, i5, i6: np.log(
-                1.0 + np.exp(np.float64(i1 * i2 * i3) + np.float64(i4 * i5 * i6))
-            ),
-        )
-    raise ValueError(f"unknown tensor name {name!r}")
-
-
-NAMED_TENSORS = (
-    "sin3",
-    "recip3",
-    "exp4",
-    "log4",
-    "sqrt5",
-    "logexp6",
-    "expsum3",
-    "cos3",
-    "recip4",
-    "coscross4",
-    "arctan5",
-    "logexp6ns",
-)
+NAMED_TENSORS = (*_SYM_NAMED, *_DENSE_NAMED)
 
 
 def named_tensor(name: str, n: int | None = None):
     """Function-sampled benchmark tensor by name.
 
-    Symmetric families (sin3, recip3, exp4, log4, sqrt5, logexp6) accept an
-    optional dimension override `n`; dense families have fixed dimensions.
+    Symmetric families (`_SYM_NAMED`) accept an optional dimension override
+    `n`; dense families (`_DENSE_NAMED`) have fixed dimensions.
     """
-    if name not in NAMED_TENSORS:
+    if name in _SYM_NAMED:
+        default_n, m, fn = _SYM_NAMED[name]
+        return SymTensor.from_function(default_n if n is None else n, m, fn)
+    if name not in _DENSE_NAMED:
         raise ValueError(f"unknown tensor name {name!r}; choose from {', '.join(NAMED_TENSORS)}")
-    if n is not None and name in ("expsum3", "cos3", "recip4", "coscross4", "arctan5", "logexp6ns"):
+    if n is not None:
         raise ValueError(f"{name} has fixed dimensions; n override not supported")
-    return _make_named(name, n)
+    dims, fn = _DENSE_NAMED[name]
+    grids = np.meshgrid(*[np.arange(1, d + 1) for d in dims], indexing="ij")
+    return DenseTensor(fn(*grids).astype(np.complex128))

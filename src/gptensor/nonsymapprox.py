@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_RCOND, joint_eigenvalues, lstsq_min_norm, positive_combination, schur
+from .linalg import joint_eigenvalues, lstsq_min_norm, positive_combination, schur
 from .refine import refine_if_helps, refine_nonsym
 from .tensors import DenseTensor, khatri_rao
 
@@ -130,7 +130,7 @@ def assemble_system_ns(F: DenseTensor, j: int, r: int):
     return slices[:, 0].T, slices[:, 1:]
 
 
-def solve_generating_matrix_ns(F: DenseTensor, r: int, rcond: float = DEFAULT_RCOND) -> NsGenMatrix:
+def solve_generating_matrix_ns(F: DenseTensor, r: int) -> NsGenMatrix:
     """Least-squares generating matrix; one factorization per mode j."""
     m = F.order
     _check_mode_rows(F.dims, r)
@@ -140,7 +140,7 @@ def solve_generating_matrix_ns(F: DenseTensor, r: int, rcond: float = DEFAULT_RC
         A, B = assemble_system_ns(F, j, r)
         nj = F.dims[j - 1]
         rhs = B.reshape(r * (nj - 1), -1).T  # columns: (i, k) pairs
-        X = lstsq_min_norm(A, rhs, rcond=rcond)
+        X = lstsq_min_norm(A, rhs)
         residuals[j] = np.linalg.norm(A @ X - rhs, axis=0).reshape(r, nj - 1)
         blocks[j] = X.reshape(r, r, nj - 1)  # axes (ell, i, k-1)
     return NsGenMatrix(rank=r, dims=F.dims, blocks=blocks, column_residuals=residuals)
@@ -160,11 +160,12 @@ def _pairs(dims) -> list:
 
 
 def extract_modes(gm: NsGenMatrix, xi: dict):
-    """Mode-2..m vectors of each rank-1 term from one Schur decomposition.
+    """Mode-2..m factor matrices of the rank-1 terms from one Schur decomposition.
 
     `xi` maps every (j, k) pair to a strictly positive weight, the weights
-    summing to 1.  Returns (modes, diagnostics) where modes[s][j] (j = 2..m)
-    is a vector with leading entry 1.
+    summing to 1.  Returns (factors, diagnostics) where factors[j - 2]
+    (j = 2..m) is the (n_j, r) matrix whose column s is the mode-j vector of
+    term s, with leading entry 1.
     """
     pairs = _pairs(gm.dims)
     if set(xi) != set(pairs):
@@ -172,24 +173,20 @@ def extract_modes(gm: NsGenMatrix, xi: dict):
     mats = np.stack([build_mjk(gm, j, k) for (j, k) in pairs])
     pair = schur(positive_combination(mats, [xi[p] for p in pairs]))
     values, diagnostics = joint_eigenvalues(mats, pair)
-    m = len(gm.dims)
-    sizes = [gm.dims[j - 1] - 1 for j in range(2, m + 1)]
+    sizes = [n - 1 for n in gm.dims[1:]]
     ones = np.ones((gm.rank, 1), dtype=np.complex128)
     blocks = np.split(values, np.cumsum(sizes)[:-1], axis=1)
-    per_mode = {j: np.concatenate([ones, b], axis=1) for j, b in zip(range(2, m + 1), blocks)}
-    modes = [{j: v[s] for j, v in per_mode.items()} for s in range(gm.rank)]
-    return modes, diagnostics
+    return [np.concatenate([ones, b], axis=1).T for b in blocks], diagnostics
 
 
-def solve_first_mode(F: DenseTensor, modes, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def solve_first_mode(F: DenseTensor, factors) -> np.ndarray:
     """First-mode vectors minimizing the joint reconstruction error.
 
-    One design matrix (columns: flattened outer products of the mode-2..m
-    vectors) is shared by the independent least squares of every first-mode
-    slice.  Returns an (r, n1) array.
+    One design matrix, khatri_rao of the mode-2..m factor matrices, is shared
+    by the independent least squares of every first-mode slice.  Returns an
+    (r, n1) array.
     """
-    D = khatri_rao([np.array([mode[j] for mode in modes]).T for j in range(2, F.order + 1)])
-    return lstsq_min_norm(D, F.data.reshape(F.dims[0], -1).T, rcond=rcond)
+    return lstsq_min_norm(khatri_rao(factors), F.data.reshape(F.dims[0], -1).T)
 
 
 def reconstruct_ns(tuples) -> DenseTensor:
@@ -226,14 +223,7 @@ def _draw_xi(dims, rng) -> dict:
     return dict(zip(pairs, w))
 
 
-def approx_nonsym(
-    F: DenseTensor,
-    r: int,
-    refine: bool = True,
-    seed: int = 0,
-    rcond: float = DEFAULT_RCOND,
-    refine_options=None,
-) -> NsApproxResult:
+def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) -> NsApproxResult:
     """Rank-r approximation of a dense tensor of order >= 3.
 
     The result's tuples and tensors are reported in the original mode order;
@@ -244,16 +234,13 @@ def approx_nonsym(
     check_shape_ns(F.dims, r)
     Fp, perm = mode_permute(F)
     rng = np.random.default_rng(seed)
-    m = F.order
 
-    gm = solve_generating_matrix_ns(Fp, r, rcond)
+    gm = solve_generating_matrix_ns(Fp, r)
     xi = _draw_xi(Fp.dims, rng)
     modes, diagnostics = extract_modes(gm, xi)
-    first = solve_first_mode(Fp, modes, rcond)
-    tuples_p = [[first[s]] + [modes[s][j] for j in range(2, m + 1)] for s in range(r)]
-
-    inv = np.argsort(perm)
-    tuples = [[tup[inv[t]] for t in range(m)] for tup in tuples_p]
+    permuted = [solve_first_mode(Fp, modes).T, *modes]
+    factors = [permuted[t] for t in np.argsort(perm)]
+    tuples = [[a[:, s] for a in factors] for s in range(r)]
     X_gp = reconstruct_ns(tuples)
     residual_gp = (F - X_gp).norm()
     diagnostics = dict(diagnostics, xi_seed=seed)
@@ -266,9 +253,7 @@ def approx_nonsym(
         mode_permutation=perm,
         diagnostics=diagnostics,
     )
-    polished = (
-        refine_if_helps(refine_nonsym, F, tuples, residual_gp, refine_options) if refine else None
-    )
+    polished = refine_if_helps(refine_nonsym, F, tuples, residual_gp) if refine else None
     if polished is not None:
         result.refined = True
         result.tuples_opt, result.residual_opt = polished

@@ -17,12 +17,14 @@ __all__ = [
     "catalecticant_ns",
     "default_split",
     "estimate_rank",
-    "DEFAULT_GAP_FACTOR",
-    "DEFAULT_FLOOR",
+    "GAP_FACTOR",
+    "FLOOR",
 ]
 
-DEFAULT_GAP_FACTOR = 100.0
-DEFAULT_FLOOR = 1e-10
+# The suggested rank r is the first where the spectrum drops by at least
+# GAP_FACTOR or falls to at most FLOOR times the largest singular value.
+GAP_FACTOR = 100.0
+FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,6 @@ class SpectrumReport:
 
     singular_values: np.ndarray
     suggested_rank: int | None
-    gap_ratios: np.ndarray
     shape: tuple[int, int]
 
     def describe(self) -> str:
@@ -93,38 +94,25 @@ def catalecticant_ns(t: DenseTensor, split=None) -> np.ndarray:
     return np.transpose(t.data, perm).reshape(rows, -1)
 
 
-def estimate_rank(
-    eta: np.ndarray,
-    gap_factor: float = DEFAULT_GAP_FACTOR,
-    floor: float = DEFAULT_FLOOR,
-    shape: tuple[int, int] = (0, 0),
-) -> SpectrumReport:
-    """Pick the smallest r with eta_{r+1} <= floor * eta_1 or a >= gap_factor drop."""
+def estimate_rank(eta: np.ndarray, shape: tuple[int, int] = (0, 0)) -> SpectrumReport:
+    """Pick the smallest r with eta_{r+1} <= FLOOR * eta_1 or a >= GAP_FACTOR drop."""
     eta = np.asarray(eta, dtype=np.float64)
     if eta.size == 0:
         raise ValueError("empty singular value list")
-    if gap_factor <= 1:
-        raise ValueError(f"gap_factor must exceed 1, got {gap_factor}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(eta[1:] > 0, eta[:-1] / np.maximum(eta[1:], np.finfo(float).tiny), np.inf)
     suggested = None
     if eta[0] > 0:
         for r in range(1, eta.size):
-            if eta[r] <= floor * eta[0] or eta[r - 1] / eta[r] >= gap_factor:
+            if eta[r] <= FLOOR * eta[0] or eta[r - 1] / eta[r] >= GAP_FACTOR:
                 suggested = r
                 break
-    return SpectrumReport(
-        singular_values=eta, suggested_rank=suggested, gap_ratios=ratios, shape=shape
-    )
+    return SpectrumReport(singular_values=eta, suggested_rank=suggested, shape=shape)
 
 
-def spectrum_sym(t: SymTensor, **kwargs) -> SpectrumReport:
+def spectrum_sym(t: SymTensor) -> SpectrumReport:
     cat = catalecticant_sym(t)
-    s = svd(cat, compute_uv=False)
-    return estimate_rank(s, shape=cat.shape, **kwargs)
+    return estimate_rank(svd(cat, compute_uv=False), shape=cat.shape)
 
 
-def spectrum_ns(t: DenseTensor, split=None, **kwargs) -> SpectrumReport:
+def spectrum_ns(t: DenseTensor, split=None) -> SpectrumReport:
     cat = catalecticant_ns(t, split=split)
-    s = svd(cat, compute_uv=False)
-    return estimate_rank(s, shape=cat.shape, **kwargs)
+    return estimate_rank(svd(cat, compute_uv=False), shape=cat.shape)

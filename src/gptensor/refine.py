@@ -36,6 +36,9 @@ __all__ = [
     "refine_nonsym",
     "refine_if_helps",
     "SKIP_REFINE_TOL",
+    "STEP_TOL",
+    "RESIDUAL_TOL",
+    "INIT_DAMPING",
 ]
 
 # Refinement is skipped when the unrefined residual is at most this fraction
@@ -43,21 +46,24 @@ __all__ = [
 # decomposition and there is nothing left to polish.
 SKIP_REFINE_TOL = 1e-10
 
+# Fixed Levenberg-Marquardt rules: stop when a step is at most STEP_TOL * (1 + ||c||)
+# or the residual norm at most RESIDUAL_TOL; the first damping is
+# INIT_DAMPING * max diag(J^H J).
+STEP_TOL = 1e-12
+RESIDUAL_TOL = 1e-15
+INIT_DAMPING = 1e-3
+
 
 @dataclass(frozen=True)
 class RefineOptions:
     max_iterations: int = 500
     grad_tol: float = 1e-10
-    step_tol: float = 1e-12
-    residual_tol: float = 1e-15
-    init_damping: float = 1e-3
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be nonnegative")
-        tols = (self.grad_tol, self.step_tol, self.residual_tol, self.init_damping)
-        if not all(t > 0 for t in tols):
-            raise ValueError("all tolerances must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
 
 
 def levenberg_marquardt(c0: np.ndarray, residual, normal, options: RefineOptions | None = None):
@@ -74,14 +80,14 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal, options: RefineOptions
     H, g = normal(c, r)
     cost = 0.5 * np.vdot(r, r).real
     best_c, best_cost = c, cost
-    mu = opts.init_damping * max(np.max(H.diagonal().real), np.finfo(float).tiny)
+    mu = INIT_DAMPING * max(np.max(H.diagonal().real), np.finfo(float).tiny)
     nu = 2.0
     iters = 0
     for iters in range(1, opts.max_iterations + 1):
         # the real gradient over (Re c, Im c) is (Re g, Im g)
         if np.max(np.abs(g.view(np.float64))) <= opts.grad_tol:
             break
-        if np.sqrt(2.0 * cost) <= opts.residual_tol:
+        if np.sqrt(2.0 * cost) <= RESIDUAL_TOL:
             break
         damped = H.copy()
         damped[np.diag_indices_from(damped)] += mu
@@ -91,7 +97,7 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal, options: RefineOptions
             mu *= nu
             nu *= 2.0
             continue
-        if np.linalg.norm(step) <= opts.step_tol * (1.0 + np.linalg.norm(c)):
+        if np.linalg.norm(step) <= STEP_TOL * (1.0 + np.linalg.norm(c)):
             break
         c_new = c + step
         r_new = residual(c_new)
@@ -307,16 +313,16 @@ def refine_nonsym(F: DenseTensor, tuples, options: RefineOptions | None = None):
     return unpack(c_opt), res_opt
 
 
-def refine_if_helps(refine_fn, F, start, residual_gp: float, options: RefineOptions | None = None):
+def refine_if_helps(refine_fn, F, start, residual_gp: float):
     """Polish `start` with `refine_fn` (refine_sym or refine_nonsym) when worthwhile.
 
     Returns None when residual_gp <= SKIP_REFINE_TOL * ||F|| or when the
-    polish ends worse than residual_gp (beyond 1e-12); otherwise returns
-    refine_fn's (start_opt, residual_opt).
+    polish, with the default `RefineOptions`, ends worse than residual_gp
+    (beyond 1e-12); otherwise returns refine_fn's (start_opt, residual_opt).
     """
     if residual_gp <= SKIP_REFINE_TOL * F.norm():
         return None
-    start_opt, residual_opt = refine_fn(F, start, options)
+    start_opt, residual_opt = refine_fn(F, start)
     if residual_opt > residual_gp + 1e-12:
         return None
     return start_opt, residual_opt

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_RCOND, joint_eigenvalues, lstsq_min_norm, positive_combination, schur
+from .linalg import joint_eigenvalues, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, monomials_upto, power_table
 from .refine import refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
@@ -30,7 +30,7 @@ __all__ = [
     "build_bases",
     "assemble_system",
     "solve_generating_matrix",
-    "companion_matrix",
+    "companion_matrices",
     "extract_points",
     "solve_coefficients",
     "reconstruct_sym",
@@ -133,7 +133,7 @@ def assemble_system(F: SymTensor, alphas, B0):
     return F.hankel(gammas, B0) * w, F.hankel(gammas, alphas) * w
 
 
-def solve_generating_matrix(F: SymTensor, r: int, rcond: float = DEFAULT_RCOND) -> SymGenMatrix:
+def solve_generating_matrix(F: SymTensor, r: int) -> SymGenMatrix:
     """Generating matrix by minimum-norm least squares, one solve per shift degree."""
     bases = build_bases(F.n, r)
     if bases.max_degree > F.m:
@@ -153,24 +153,22 @@ def solve_generating_matrix(F: SymTensor, r: int, rcond: float = DEFAULT_RCOND) 
                 f"rank {r} exceeds the {A.shape[0]} rows of the system for shift "
                 f"monomials of degree {deg}; the least squares would be underdetermined"
             )
-        X = lstsq_min_norm(A, B, rcond=rcond)
+        X = lstsq_min_norm(A, B)
         G[:, cols] = X
         residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
     return SymGenMatrix(bases=bases, G=G, column_residuals=residuals)
 
 
-def companion_matrix(gm: SymGenMatrix, i: int) -> np.ndarray:
-    """Multiplication-by-x_i matrix on the span of B0 modulo the relations in G."""
-    bases = gm.bases
-    if not 1 <= i <= bases.nbar:
-        raise ValueError(f"variable index {i} out of range 1..{bases.nbar}")
-    r = bases.rank
-    index = bases.shift_index[i - 1]
-    inside = index < r
-    M = np.zeros((r, r), dtype=np.complex128)
-    M[index[inside], np.flatnonzero(inside)] = 1.0
-    M[:, ~inside] = gm.G[:, index[~inside] - r]
-    return M
+def companion_matrices(gm: SymGenMatrix) -> np.ndarray:
+    """(nbar, r, r) stack of the multiplication-by-x_i matrices on the span of B0.
+
+    Column k of M_{x_i} is the unit vector of x_i * B0[k] when that shift lies
+    in B0 and its generating-matrix column otherwise, so the stack is one
+    gather of [I | G] by `shift_index`.
+    """
+    r = gm.bases.rank
+    basis = np.concatenate([np.eye(r, dtype=np.complex128), gm.G], axis=1)
+    return np.ascontiguousarray(basis[:, gm.bases.shift_index].transpose(1, 0, 2))
 
 
 def extract_points(gm: SymGenMatrix, xi: np.ndarray):
@@ -181,18 +179,18 @@ def extract_points(gm: SymGenMatrix, xi: np.ndarray):
     s-th Schur vector.  Returns (points, diagnostics); points have first
     coordinate 1.
     """
-    Ms = np.stack([companion_matrix(gm, i) for i in range(1, gm.bases.nbar + 1)])
+    Ms = companion_matrices(gm)
     pair = schur(positive_combination(Ms, xi))
     values, diagnostics = joint_eigenvalues(Ms, pair)
     points = np.concatenate([np.ones((len(values), 1), dtype=np.complex128), values], axis=1)
     return points, diagnostics
 
 
-def solve_coefficients(F: SymTensor, points: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def solve_coefficients(F: SymTensor, points: np.ndarray) -> np.ndarray:
     """Coefficients minimizing the true tensor norm of the rank-r combination."""
     w = np.sqrt(F.weights)
     D = monomial_values(points, F.powers, F.m).T
-    return lstsq_min_norm(D * w[:, None], F.values * w, rcond=rcond)
+    return lstsq_min_norm(D * w[:, None], F.values * w)
 
 
 def reconstruct_sym(points: np.ndarray, coefficients: np.ndarray, n: int, m: int) -> SymTensor:
@@ -227,14 +225,7 @@ def _principal_root(lam: complex, m: int) -> complex:
     return np.exp(np.log(complex(lam)) / m)
 
 
-def approx_sym(
-    F: SymTensor,
-    r: int,
-    refine: bool = True,
-    seed: int = 0,
-    rcond: float = DEFAULT_RCOND,
-    refine_options=None,
-) -> SymApproxResult:
+def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymApproxResult:
     """Symmetric rank-r approximation of F.
 
     Runs the generating-matrix pipeline; when `refine` is set, a local
@@ -248,11 +239,11 @@ def approx_sym(
         raise ValueError(f"rank must be in 1..{nmon}, got {r}")
     rng = np.random.default_rng(seed)
 
-    gm = solve_generating_matrix(F, r, rcond)
+    gm = solve_generating_matrix(F, r)
     xi = rng.uniform(size=F.nbar)
     xi /= xi.sum()
     points, diagnostics = extract_points(gm, xi)
-    lam = solve_coefficients(F, points, rcond)
+    lam = solve_coefficients(F, points)
     X_gp = reconstruct_sym(points, lam, F.n, F.m)
     residual_gp = (F - X_gp).norm()
     u_ls = np.array([_principal_root(l, F.m) * v for l, v in zip(lam, points)], dtype=np.complex128)
@@ -266,7 +257,7 @@ def approx_sym(
         diagnostics=dict(diagnostics, xi_seed=seed),
     )
 
-    polished = refine_if_helps(refine_sym, F, u_ls, residual_gp, refine_options) if refine else None
+    polished = refine_if_helps(refine_sym, F, u_ls, residual_gp) if refine else None
     if polished is not None:
         result.refined = True
         result.u_opt, result.residual_opt = polished

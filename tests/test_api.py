@@ -26,3 +26,5 @@ def test_readme_entry_points_resolve():
 
 def test_all_names_resolve():
     assert [n for n in gptensor.__all__ if not hasattr(gptensor, n)] == []
+    # the public API is README's table: a new export needs a README row
+    assert set(gptensor.__all__) == entry_point_names()

@@ -234,6 +234,13 @@ class TestCli:
         # --split belongs to rank-est only, and bench has no scale
         assert main(["approx-ns", "--rank", "2", "--split", "1,2|3", tns]) == EXIT_PRECONDITION
         assert main(["bench", "--preset", "table1", "--scale", "desk"]) == EXIT_PRECONDITION
+        # the cutoff and the rank-gap thresholds are fixed, not flags
+        ns = str(tmp_path / "g.tns")
+        main(["gen", "--kind", "ns", "--dims", "4,4,4", "--rank", "2", "-o", ns])
+        assert main(["approx-sym", "--rank", "2", "--rcond", "1e-8", tns]) == EXIT_PRECONDITION
+        assert main(["approx-ns", "--rank", "2", "--rcond", "1e-8", ns]) == EXIT_PRECONDITION
+        assert main(["rank-est", "--gap-factor", "10", tns]) == EXIT_PRECONDITION
+        assert main(["rank-est", "--floor", "1e-6", tns]) == EXIT_PRECONDITION
 
     def test_dimension_one_sym_file(self, tmp_path, capsys):
         tns = tmp_path / "one.tns"

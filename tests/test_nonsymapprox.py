@@ -107,10 +107,10 @@ class TestExtraction:
         F, _, _ = gen_random_ns((5, 4, 3), 2, 0.0, seed=5)
         gm = solve_generating_matrix_ns(F, 2)
         xi = {(2, 1): 0.25, (2, 2): 0.25, (2, 3): 0.25, (3, 1): 0.15, (3, 2): 0.1}
-        modes, diag = extract_modes(gm, xi)
-        for per_mode in modes:
-            assert per_mode[2][0] == 1.0
-            assert per_mode[3][0] == 1.0
+        factors, diag = extract_modes(gm, xi)
+        assert [a.shape for a in factors] == [(4, 2), (3, 2)]
+        for a in factors:
+            assert np.all(a[0] == 1.0)
         assert diag["commutator"] <= 1e-8
         assert not diag["low_confidence"]
 
@@ -227,9 +227,9 @@ def test_first_mode_duplicate_tuples_minimum_norm():
     rng = np.random.default_rng(12)
     vs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (4, 3, 3)]
     F = outer_product(vs)
-    dup = [{2: vs[1] / vs[1][0], 3: vs[2] / vs[2][0]} for _ in range(2)]
+    dup = [np.column_stack([v / v[0]] * 2) for v in vs[1:]]
     Z = solve_first_mode(F, dup)
     # identical design columns: the minimum-norm solution splits evenly
     assert np.allclose(Z[0], Z[1], atol=1e-8)
-    X = reconstruct_ns([[Z[s], dup[s][2], dup[s][3]] for s in range(2)])
+    X = reconstruct_ns([[Z[s], dup[0][:, s], dup[1][:, s]] for s in range(2)])
     assert (F - X).norm() <= 1e-8 * F.norm()

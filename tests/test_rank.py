@@ -91,8 +91,6 @@ class TestEstimateRank:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_rank(np.array([]))
-        with pytest.raises(ValueError):
-            estimate_rank(np.array([1.0]), gap_factor=1.0)
 
     def test_spectra_are_the_singular_values_of_the_flattenings(self):
         F, _, _ = gen_random_sym(4, 4, 2, 0.1, seed=5)

