@@ -159,19 +159,16 @@ def _pairs(dims) -> list:
     return [(j, k) for j in range(2, len(dims) + 1) for k in range(1, dims[j - 1])]
 
 
-def extract_modes(gm: NsGenMatrix, xi: dict):
+def extract_modes(gm: NsGenMatrix, xi: np.ndarray):
     """Mode-2..m factor matrices of the rank-1 terms from one Schur decomposition.
 
-    `xi` maps every (j, k) pair to a strictly positive weight, the weights
-    summing to 1.  Returns (factors, diagnostics) where factors[j - 2]
-    (j = 2..m) is the (n_j, r) matrix whose column s is the mode-j vector of
-    term s, with leading entry 1.
+    `xi` holds one strictly positive weight per (j, k) pair in `_pairs`
+    order, the weights summing to 1.  Returns (factors, diagnostics) where
+    factors[j - 2] (j = 2..m) is the (n_j, r) matrix whose column s is the
+    mode-j vector of term s, with leading entry 1.
     """
-    pairs = _pairs(gm.dims)
-    if set(xi) != set(pairs):
-        raise ValueError("xi must weight exactly the (j, k) pairs of the generating matrix")
-    mats = np.stack([build_mjk(gm, j, k) for (j, k) in pairs])
-    pair = schur(positive_combination(mats, [xi[p] for p in pairs]))
+    mats = np.stack([build_mjk(gm, j, k) for (j, k) in _pairs(gm.dims)])
+    pair = schur(positive_combination(mats, xi))
     values, diagnostics = joint_eigenvalues(mats, pair)
     sizes = [n - 1 for n in gm.dims[1:]]
     ones = np.ones((gm.rank, 1), dtype=np.complex128)
@@ -216,11 +213,9 @@ def rank1_closed_form_ns(F: DenseTensor):
     return tup
 
 
-def _draw_xi(dims, rng) -> dict:
-    pairs = _pairs(dims)
-    w = rng.uniform(size=len(pairs))
-    w /= w.sum()
-    return dict(zip(pairs, w))
+def _draw_xi(dims, rng) -> np.ndarray:
+    w = rng.uniform(size=len(_pairs(dims)))
+    return w / w.sum()
 
 
 def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) -> NsApproxResult:

@@ -16,8 +16,9 @@ parsed back losslessly (floats are written with 17 significant digits).
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
-import operator
+import math
 
 import numpy as np
 
@@ -44,24 +45,20 @@ def _fmt(x: float) -> str:
 
 def write_tensor(t, path) -> None:
     """Write a tensor file; symmetric tensors use compact power-vector lines."""
-    lines = []
     if isinstance(t, SymTensor):
-        dims = ",".join(str(t.n) for _ in range(t.m))
-        lines.append(f"TENSOR v1 sym order={t.m} dims={dims}")
-        for alpha, v in zip(t.powers, t.values):
-            parts = [str(int(a)) for a in alpha] + [_fmt(v.real), _fmt(v.imag)]
-            lines.append(" ".join(parts))
+        kind, dims, rows, values = "sym", (t.n,) * t.m, t.powers, t.values
     elif isinstance(t, DenseTensor):
-        dims = ",".join(str(d) for d in t.dims)
-        lines.append(f"TENSOR v1 dense order={t.order} dims={dims}")
-        for idx in np.ndindex(*t.dims):
-            v = t.data[idx]
-            parts = [str(i + 1) for i in idx] + [_fmt(v.real), _fmt(v.imag)]
-            lines.append(" ".join(parts))
+        # 1-based multi-indices in row-major order, generated as the lines are written
+        rows = itertools.product(*(range(1, d + 1) for d in t.dims))
+        kind, dims, values = "dense", t.dims, t.data.ravel()
     else:
         raise TypeError(f"cannot serialize {type(t).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"TENSOR v1 {kind} order={len(dims)} dims={','.join(map(str, dims))}\n")
+        fh.writelines(
+            " ".join([*map(str, row), _fmt(v.real), _fmt(v.imag)]) + "\n"
+            for row, v in zip(rows, values)
+        )
 
 
 def _parse_header(line: str):
@@ -99,42 +96,55 @@ def _parse_entry(ln: str, count: int, what: str):
 
 
 def read_tensor(path):
-    """Parse a tensor file into a SymTensor or DenseTensor."""
+    """Parse a tensor file into a SymTensor or DenseTensor.
+
+    Every entry line is a row of integers and a complex value; the two kinds
+    differ only in how a row maps to a storage position.  Of several faults
+    the first malformed line is reported, then an out-of-range entry, then
+    the first line that repeats an earlier entry.
+    """
     with open(path, encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("empty tensor file")
     kind, order, dims = _parse_header(lines[0])
-    if kind == "sym":
-        if len(set(dims)) != 1:
-            raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
-        n, m = dims[0], order
-        entries = [_parse_entry(ln, n - 1, "exponents") for ln in lines[1:]]
-        alphas = np.array([a for a, _ in entries], dtype=np.int64).reshape(len(entries), n - 1)
+    if kind == "sym" and len(set(dims)) != 1:
+        raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
+    count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
+    rows = np.empty((len(lines) - 1, count), dtype=np.int64)
+    values = np.empty(len(lines) - 1, dtype=np.complex128)
+    wide = {}  # rows holding an integer beyond int64, as parsed; their array row is 0
+    for i, ln in enumerate(lines[1:]):
+        ints, values[i] = _parse_entry(ln, count, what)
         try:
-            pos = grlex_position(n - 1, m, alphas)
+            rows[i] = ints
+        except OverflowError:
+            wide[i] = ints
+            rows[i] = 0
+    if kind == "sym":
+        n, m = dims[0], order
+        if wide:
+            big = next(a for a in wide[min(wide)] if not -(2**63) <= a < 2**63)
+            raise FormatError(f"power vector out of range for m={m}: exponent {big} exceeds 64 bits")
+        try:
+            pos = grlex_position(n - 1, m, rows)
         except KeyError as exc:
             raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
-        first = np.unique(pos, return_index=True)[1]
-        if len(first) < len(pos):
-            repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
-            raise FormatError(f"duplicate entry for power vector {tuple(alphas[repeat].tolist())}")
-        t = SymTensor.zeros(n, m)
-        t.values[pos] = [value for _, value in entries]
-        return t
-    # 1-based indices address an array one larger per mode; its index-0 planes stay zero
-    arr = np.zeros(tuple(d + 1 for d in dims), dtype=np.complex128)
-    seen = set()
-    for ln in lines[1:]:
-        idx, value = _parse_entry(ln, order, "indices")
-        if min(idx) < 1 or any(map(operator.gt, idx, dims)):
-            raise FormatError(f"index {idx} out of range for dims {dims}")
-        if idx in seen:
-            raise FormatError(f"duplicate entry at index {idx}")
-        seen.add(idx)
-        arr[idx] = value
-    return DenseTensor(arr[(slice(1, None),) * order])
+        size, where = math.comb(n - 1 + m, m), "for power vector"
+    else:
+        bad = ((rows < 1) | (rows > dims)).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise FormatError(f"index {wide.get(i, tuple(rows[i].tolist()))} out of range for dims {dims}")
+        pos = np.ravel_multi_index(tuple((rows - 1).T), dims)
+        size, where = math.prod(dims), "at index"
+    first = np.unique(pos, return_index=True)[1]
+    if len(first) < len(pos):
+        repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
+        raise FormatError(f"duplicate entry {where} {tuple(rows[repeat].tolist())}")
+    flat = np.zeros(size, dtype=np.complex128)
+    flat[pos] = values
+    return SymTensor(n, m, flat) if kind == "sym" else DenseTensor(flat.reshape(dims))
 
 
 def _vec_str(v) -> str:

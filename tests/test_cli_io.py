@@ -26,7 +26,10 @@ class TestTensorFiles:
         back = read_tensor(path)
         assert isinstance(back, SymTensor)
         assert (back.n, back.m) == (5, 3)
-        assert np.allclose(back.values, F.values)
+        assert np.array_equal(back.values, F.values)
+        again = tmp_path / "again.tns"
+        write_tensor(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_dense_roundtrip(self, tmp_path):
         F, _, _ = gen_random_ns((3, 4, 2), 2, 0.1, seed=1)
@@ -35,7 +38,10 @@ class TestTensorFiles:
         back = read_tensor(path)
         assert isinstance(back, DenseTensor)
         assert back.dims == (3, 4, 2)
-        assert np.allclose(back.data, F.data)
+        assert np.array_equal(back.data, F.data)
+        again = tmp_path / "again.tns"
+        write_tensor(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_missing_entries_are_zero(self, tmp_path):
         path = tmp_path / "t.tns"
@@ -51,6 +57,38 @@ class TestTensorFiles:
         assert t.at_power((0,)) == 1.0
         assert t.at_power((1,)) == 2.0
         assert t.at_power((2,)) == 3.0
+
+    def test_dense_entries_any_order(self, tmp_path):
+        path = tmp_path / "t.tns"
+        path.write_text(
+            "TENSOR v1 dense order=2 dims=2,3\n2 3 6.0 0\n# comment\n1 2 2.0 -1\n\n2 1 4.0 0\n1 1 1.0 0\n"
+        )
+        t = read_tensor(path)
+        assert np.array_equal(t.data, [[1.0, 2.0 - 1.0j, 0.0], [4.0, 0.0, 6.0]])
+
+    # entry lines with one fault each, for the sym and the dense file of the test below
+    MALFORMED = {
+        "field_count": (["1 1 0"], ["1 1 1 0"], "expected"),
+        "non_finite": (["1 0 nan 0"], ["1 1 1 0 inf"], "non-finite"),
+        "out_of_range": (["2 2 1 0"], ["1 4 1 1 0"], "out of range"),
+        "duplicate": (["1 0 1 0", "0 1 2 0", "1 0 3 0"], ["1 2 3 1 0", "1 2 3 2 0"], "duplicate"),
+        "over_wide": (["0 99999999999999999999999 1 0"], ["1 99999999999999999999999 1 1 0"], "99999999999999999999999"),
+    }
+
+    @pytest.mark.parametrize("fault", list(MALFORMED))
+    @pytest.mark.parametrize("kind", ["sym", "dense"])
+    def test_malformed_entries_rejected(self, tmp_path, capsys, kind, fault):
+        sym_lines, dense_lines, message = self.MALFORMED[fault]
+        if kind == "sym":
+            header, lines, command = "TENSOR v1 sym order=3 dims=3,3,3", sym_lines, "approx-sym"
+        else:
+            header, lines, command = "TENSOR v1 dense order=3 dims=3,3,3", dense_lines, "approx-ns"
+        path = tmp_path / "t.tns"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(FormatError, match=message):
+            read_tensor(path)
+        assert main([command, "--rank", "1", str(path)]) == EXIT_PRECONDITION
+        assert message in capsys.readouterr().err
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "t.tns"
@@ -223,6 +261,8 @@ class TestCli:
     def test_precondition_exit_codes(self, tmp_path):
         tns = str(tmp_path / "t.tns")
         main(["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2", "-o", tns])
+        ns = str(tmp_path / "g.tns")
+        main(["gen", "--kind", "ns", "--dims", "4,4,4", "--rank", "2", "-o", ns])
         # rank too large for the least-squares systems
         assert main(["approx-sym", "--rank", "100", tns]) == EXIT_PRECONDITION
         # missing file
@@ -231,12 +271,11 @@ class TestCli:
         assert main(["rank-est", "--split", "junk", tns]) == EXIT_PRECONDITION
         # unknown flag
         assert main(["approx-sym", "--bogus", tns]) == EXIT_PRECONDITION
-        # --split belongs to rank-est only, and bench has no scale
-        assert main(["approx-ns", "--rank", "2", "--split", "1,2|3", tns]) == EXIT_PRECONDITION
+        # --split belongs to rank-est only (the dense file is one approx-ns accepts), and bench has no scale
+        assert main(["approx-ns", "--rank", "2", ns]) == EXIT_OK
+        assert main(["approx-ns", "--rank", "2", "--split", "1,2|3", ns]) == EXIT_PRECONDITION
         assert main(["bench", "--preset", "table1", "--scale", "desk"]) == EXIT_PRECONDITION
         # the cutoff and the rank-gap thresholds are fixed, not flags
-        ns = str(tmp_path / "g.tns")
-        main(["gen", "--kind", "ns", "--dims", "4,4,4", "--rank", "2", "-o", ns])
         assert main(["approx-sym", "--rank", "2", "--rcond", "1e-8", tns]) == EXIT_PRECONDITION
         assert main(["approx-ns", "--rank", "2", "--rcond", "1e-8", ns]) == EXIT_PRECONDITION
         assert main(["rank-est", "--gap-factor", "10", tns]) == EXIT_PRECONDITION

@@ -98,16 +98,18 @@ class TestExtraction:
     def test_xi_validation(self):
         F, _, _ = gen_random_ns((5, 4, 3), 2, 0.0, seed=4)
         gm = solve_generating_matrix_ns(F, 2)
-        with pytest.raises(ValueError):
-            extract_modes(gm, {(2, 1): 0.7, (2, 2): 0.7})
-        with pytest.raises(ValueError):
-            extract_modes(gm, {(2, 1): 1.5, (2, 2): -0.5})
+        # one weight per pair (2,1),(2,2),(2,3),(3,1),(3,2): two wrong lengths, a wrong sum,
+        # then a negative and a zero weight among weights summing to 1
+        cases = [[0.7, 0.7], [1.5, -0.5], [0.3] * 5, [0.6, 0.6, -0.1, -0.05, -0.05], [0.5, 0.5, 0, 0, 0]]
+        for xi in cases:
+            with pytest.raises(ValueError, match="strictly positive weights"):
+                extract_modes(gm, np.array(xi))
 
     def test_modes_have_unit_leading_entry(self):
         F, _, _ = gen_random_ns((5, 4, 3), 2, 0.0, seed=5)
         gm = solve_generating_matrix_ns(F, 2)
-        xi = {(2, 1): 0.25, (2, 2): 0.25, (2, 3): 0.25, (3, 1): 0.15, (3, 2): 0.1}
-        factors, diag = extract_modes(gm, xi)
+        # weights of the pairs (2,1),(2,2),(2,3),(3,1),(3,2)
+        factors, diag = extract_modes(gm, np.array([0.25, 0.25, 0.25, 0.15, 0.1]))
         assert [a.shape for a in factors] == [(4, 2), (3, 2)]
         for a in factors:
             assert np.all(a[0] == 1.0)
