@@ -59,7 +59,7 @@ def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
     over terms, so the sum is never formed.  Raises KeyError for a wrong width,
     a negative entry or a degree above m.
     """
-    suffix = []
+    arrays = []
     for term in terms:
         term = np.asarray(term, dtype=np.int64)
         if term.shape[-1:] != (nvars,):
@@ -68,7 +68,13 @@ def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
             flat = term.reshape(-1, nvars)
             bad = tuple(flat[(flat < 0).any(axis=1).argmax()].tolist())
             raise KeyError(f"negative exponent in power vector {bad}")
-        suffix.append(np.cumsum(term[..., ::-1], axis=-1)[..., ::-1])
+        arrays.append(term)
+    if any(a.size and a.max() > m for a in arrays):
+        # the int64 suffix sums of such exponents can wrap, so add the degrees as Python ints
+        degree = sum(a.astype(object).sum(axis=-1) for a in arrays)
+        raise KeyError(f"power vector of degree {np.max(degree)} exceeds order {m}")
+    # every exponent is at most m now, so no suffix sum below can wrap
+    suffix = [np.cumsum(a[..., ::-1], axis=-1)[..., ::-1] for a in arrays]
     # below[s, j]: number of monomials in j variables of degree < s
     grid = [[math.comb(s - 1 + j, j) if s else 0 for j in range(nvars + 1)] for s in range(m + 1)]
     below = np.array(grid, dtype=np.int64)

@@ -95,32 +95,87 @@ def _parse_entry(ln: str, count: int, what: str):
     return ints, value
 
 
-def read_tensor(path):
-    """Parse a tensor file into a SymTensor or DenseTensor.
+def _entry_lines(fh):
+    """The stripped lines of an open tensor file, without blank and `#` comment lines."""
+    return (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
 
-    Every entry line is a row of integers and a complex value; the two kinds
-    differ only in how a row maps to a storage position.  Of several faults
-    the first malformed line is reported, then an out-of-range entry, then
-    the first line that repeats an earlier entry.
+
+def _ascii(lines):
+    """Pass the lines on; raise ValueError at the first one that is not ASCII.
+
+    numpy's integer parser reads some non-ASCII characters as digits, so such
+    lines are left to `_parse_entry`.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
-    if not lines:
-        raise FormatError("empty tensor file")
-    kind, order, dims = _parse_header(lines[0])
-    if kind == "sym" and len(set(dims)) != 1:
-        raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
-    count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
-    rows = np.empty((len(lines) - 1, count), dtype=np.int64)
-    values = np.empty(len(lines) - 1, dtype=np.complex128)
-    wide = {}  # rows holding an integer beyond int64, as parsed; their array row is 0
-    for i, ln in enumerate(lines[1:]):
+    for ln in lines:
+        if not ln.isascii():
+            raise ValueError(f"non-ASCII entry line {ln!r}")
+        yield ln
+
+
+def _parse_table(lines, count):
+    """Parse all entry lines in one pass: (int64 rows, complex values, {}), or None.
+
+    None means that numpy rejected a line or read a non-finite value.  What
+    numpy accepts from ASCII lines Python's int and float accept too, with
+    the same values, so a file read here reads the same through the line loop.
+    """
+    dtype = np.dtype([("i", np.int64, count), ("v", np.float64, 2)])
+    first = next(lines, None)
+    if first is None:  # loadtxt warns on an empty body
+        table = np.empty(0, dtype)
+    else:
+        try:
+            table = np.loadtxt(_ascii(itertools.chain([first], lines)), dtype=dtype, comments=None, ndmin=1)
+        except ValueError:
+            return None
+    if not np.isfinite(table["v"]).all():
+        return None
+    # a view of the (re, im) pairs, not re + 1j * im, which turns -0 parts into +0
+    return table["i"], np.ascontiguousarray(table["v"]).view(np.complex128).ravel(), {}
+
+
+def _parse_lines(fh, count, what):
+    """Parse the entry lines of an open tensor file one by one: (int64 rows, complex values, wide).
+
+    Reads the file again from its start and raises FormatError for the first
+    malformed line.  `wide` maps the rows holding an integer beyond int64 to
+    their integers; their array row is 0.
+    """
+    fh.seek(0)
+    lines = list(_entry_lines(fh))[1:]
+    rows = np.empty((len(lines), count), dtype=np.int64)
+    values = np.empty(len(lines), dtype=np.complex128)
+    wide = {}
+    for i, ln in enumerate(lines):
         ints, values[i] = _parse_entry(ln, count, what)
         try:
             rows[i] = ints
         except OverflowError:
             wide[i] = ints
             rows[i] = 0
+    return rows, values, wide
+
+
+def read_tensor(path):
+    """Parse a tensor file into a SymTensor or DenseTensor.
+
+    Every entry line is a row of integers and a complex value; the two kinds
+    differ only in how a row maps to a storage position.  The entry lines are
+    parsed in one numpy pass; only when that pass fails does the line loop
+    run, to name the fault or to read syntax that only Python accepts.  Of
+    several faults the first malformed line is reported, then an
+    out-of-range entry, then the first line that repeats an earlier entry.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = _entry_lines(fh)
+        header = next(lines, None)
+        if header is None:
+            raise FormatError("empty tensor file")
+        kind, order, dims = _parse_header(header)
+        if kind == "sym" and len(set(dims)) != 1:
+            raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
+        count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
+        rows, values, wide = _parse_table(lines, count) or _parse_lines(fh, count, what)
     if kind == "sym":
         n, m = dims[0], order
         if wide:

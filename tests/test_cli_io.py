@@ -1,14 +1,21 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptensor import tensorio
 from gptensor.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
+from gptensor.monomials import grlex_position
 from gptensor.nonsymapprox import reconstruct_ns
 from gptensor.symapprox import reconstruct_sym
 from gptensor.tensorio import (
     FormatError,
+    _parse_entry,
+    _parse_header,
     parse_report,
     read_tensor,
     render_report,
@@ -16,6 +23,116 @@ from gptensor.tensorio import (
     write_tensor,
 )
 from gptensor.tensors import DenseTensor, SymTensor
+
+
+def line_loop_read_tensor(path):
+    """The reader that parses every entry line with `_parse_entry`; the one-pass
+    reader must give the same tensor, or the same error, on every file."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+    if not lines:
+        raise FormatError("empty tensor file")
+    kind, order, dims = _parse_header(lines[0])
+    if kind == "sym" and len(set(dims)) != 1:
+        raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
+    count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
+    rows = np.empty((len(lines) - 1, count), dtype=np.int64)
+    values = np.empty(len(lines) - 1, dtype=np.complex128)
+    wide = {}
+    for i, ln in enumerate(lines[1:]):
+        ints, values[i] = _parse_entry(ln, count, what)
+        try:
+            rows[i] = ints
+        except OverflowError:
+            wide[i] = ints
+            rows[i] = 0
+    if kind == "sym":
+        n, m = dims[0], order
+        if wide:
+            big = next(a for a in wide[min(wide)] if not -(2**63) <= a < 2**63)
+            raise FormatError(f"power vector out of range for m={m}: exponent {big} exceeds 64 bits")
+        try:
+            pos = grlex_position(n - 1, m, rows)
+        except KeyError as exc:
+            raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
+        size, where = math.comb(n - 1 + m, m), "for power vector"
+    else:
+        bad = ((rows < 1) | (rows > dims)).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise FormatError(f"index {wide.get(i, tuple(rows[i].tolist()))} out of range for dims {dims}")
+        pos = np.ravel_multi_index(tuple((rows - 1).T), dims)
+        size, where = math.prod(dims), "at index"
+    first = np.unique(pos, return_index=True)[1]
+    if len(first) < len(pos):
+        repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
+        raise FormatError(f"duplicate entry {where} {tuple(rows[repeat].tolist())}")
+    flat = np.zeros(size, dtype=np.complex128)
+    flat[pos] = values
+    return SymTensor(n, m, flat) if kind == "sym" else DenseTensor(flat.reshape(dims))
+
+
+def outcome(read, path):
+    """What a reader makes of a file: the tensor's shape and raw float64 words
+    (so signed zeros count), or the error's type and message."""
+    try:
+        t = read(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    if isinstance(t, SymTensor):
+        return "sym", t.n, t.m, t.values.view(np.float64).tobytes()
+    return "dense", t.dims, t.data.view(np.float64).tobytes()
+
+
+def _fail_parse_entry(*args):
+    raise AssertionError("the line loop ran on a valid file")
+
+
+# tokens for fuzzed entry lines: mostly valid, plus syntax only Python accepts
+# (1_0, non-ASCII digits), numbers past int64, non-finite and malformed values,
+# and U+01FE, which numpy's integer parser reads as the digit 462
+_INTS = ["1", "2", "3", "0", "-1", "+1", "01", "1_0", "\u0661", "\u01fe", "1.0", "x",
+         "4611686018427387904", "9223372036854775807", "9223372036854775808", "99999999999999999999999"]
+_FLOATS = ["0", "1.5", "-2.25e-3", "-0", "-0.0", "+1", "5.", ".5", "1e400", "-1e-400", "inf", "nan",
+           "0x1", "1_0", "\u0661", "1,5"]
+_SEPARATORS = [" ", "  ", "\t", "\x0b", "\xa0", "\u2003"]
+
+
+@st.composite
+def tensor_texts(draw):
+    """Text of a small tensor file: a valid header and up to five body lines."""
+    kind = draw(st.sampled_from(["sym", "dense"]))
+    if kind == "sym":
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        dims, count = (n,) * m, n - 1
+    else:
+        dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        count = len(dims)
+    # lines of a clean file take the first three tokens of each kind and plain spaces;
+    # other files draw separators freely and put at most one other token on a line
+    clean = draw(st.booleans())
+    seps = st.sampled_from(_SEPARATORS[:1] if clean else _SEPARATORS)
+    lines = [f"TENSOR v1 {kind} order={len(dims)} dims={','.join(map(str, dims))}"]
+    for _ in range(draw(st.integers(0, 5))):
+        shape = draw(st.sampled_from(["entry"] * 5 + ["blank", "comment", "short", "long"]))
+        if shape == "blank":
+            lines.append(draw(seps) if draw(st.booleans()) else "")
+            continue
+        tokens = [_INTS] * count + [_FLOATS] * 2
+        fields = [draw(st.sampled_from(t[:3])) for t in tokens]
+        if not clean and draw(st.booleans()):
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = draw(st.sampled_from(tokens[k]))
+        if shape == "short":
+            fields = fields[:-1]
+        elif shape == "long":
+            fields.append(draw(st.sampled_from(_FLOATS)))
+        line = draw(seps) * draw(st.integers(0, 1))
+        for field in fields:
+            line += field + draw(seps)
+        lines.append(("# " if shape == "comment" else "") + line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
 
 
 class TestTensorFiles:
@@ -73,6 +190,8 @@ class TestTensorFiles:
         "out_of_range": (["2 2 1 0"], ["1 4 1 1 0"], "out of range"),
         "duplicate": (["1 0 1 0", "0 1 2 0", "1 0 3 0"], ["1 2 3 1 0", "1 2 3 2 0"], "duplicate"),
         "over_wide": (["0 99999999999999999999999 1 0"], ["1 99999999999999999999999 1 1 0"], "99999999999999999999999"),
+        # each exponent fits int64, but their sum, the degree, does not
+        "wide_degree": (["4611686018427387904 4611686018427387904 1 0"], ["4611686018427387904 1 1 1 0"], "out of range"),
     }
 
     @pytest.mark.parametrize("fault", list(MALFORMED))
@@ -144,6 +263,70 @@ class TestTensorFiles:
                 read_tensor(path)
         command = "approx-sym" if "sym" in header else "approx-ns"
         assert main([command, "--rank", "1", str(path)]) == EXIT_PRECONDITION
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=tensor_texts())
+    def test_reads_like_the_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.tns"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_tensor, path) == outcome(line_loop_read_tensor, path)
+
+    VALID = {
+        "sym": "TENSOR v1 sym order=3 dims=3,3,3\n# comment\n\n0\t0  1.5\t-0\n  1 0 -2.25e-3 4 \n\n2\t\t1 +0 -1\n",
+        "dense": "TENSOR v1 dense order=3 dims=2,3,2\n\n# 1 1 1 9 9\n1\t3 2  5. .5\n2 01 1\t-0.0 7e-300\n  \n",
+        "one_sym_entry": "TENSOR v1 sym order=2 dims=4,4\n0 2 0 -1.25 0\n",
+        "one_dense_entry": "TENSOR v1 dense order=1 dims=3\n2 1e10 -0\n",
+    }
+
+    @pytest.mark.parametrize("name", list(VALID))
+    def test_valid_files_skip_the_line_loop(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "t.tns"
+        path.write_text(self.VALID[name])
+        expected = outcome(line_loop_read_tensor, path)
+        assert expected[0] in ("sym", "dense")
+        monkeypatch.setattr(tensorio, "_parse_entry", _fail_parse_entry)
+        assert outcome(read_tensor, path) == expected
+
+    def test_written_40_cube_skips_the_line_loop(self, tmp_path, monkeypatch):
+        F, _, _ = gen_random_ns((40, 40, 40), 10, 0.1, seed=1)
+        path = tmp_path / "t.tns"
+        write_tensor(F, path)
+        monkeypatch.setattr(tensorio, "_parse_entry", _fail_parse_entry)
+        back = read_tensor(path)
+        assert back.data.view(np.float64).tobytes() == F.data.view(np.float64).tobytes()
+
+    @pytest.mark.parametrize("header", ["TENSOR v1 sym order=3 dims=3,3,3", "TENSOR v1 dense order=2 dims=2,3"])
+    @pytest.mark.parametrize("body", ["", "# only a comment\n\n   \n"])
+    def test_empty_body_is_the_zero_tensor(self, tmp_path, header, body):
+        path = tmp_path / "t.tns"
+        path.write_text(f"{header}\n{body}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = read_tensor(path)
+        assert not (t.values if isinstance(t, SymTensor) else t.data).any()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "TENSOR v1 sym order=2 dims=3,3\n0 0 -0 -0\n1 0 -0 1\n0 1 1 -0\n2 0 0 0\n1 1 0 0\n0 2 0 0\n",
+            "TENSOR v1 dense order=2 dims=1,2\n1 1 -0 -0\n1 2 1.5 -0\n",
+        ],
+        ids=["sym", "dense"],
+    )
+    def test_negative_zero_parts_write_back_unchanged(self, tmp_path, text):
+        path, again = tmp_path / "t.tns", tmp_path / "again.tns"
+        path.write_text(text)
+        write_tensor(read_tensor(path), again)
+        assert again.read_text() == text
+
+    def test_non_ascii_digits_take_the_line_loop(self, tmp_path):
+        path = tmp_path / "t.tns"
+        # Python's int reads U+0661 as 1; numpy's integer parser reads U+01FE as 462
+        path.write_text("TENSOR v1 dense order=2 dims=2,500\n\u0661 1 2 0\n")
+        assert read_tensor(path).data[0, 0] == 2
+        path.write_text("TENSOR v1 dense order=2 dims=2,500\n1 \u01fe 2 0\n")
+        with pytest.raises(FormatError, match="bad entry line"):
+            read_tensor(path)
 
 
 _KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)

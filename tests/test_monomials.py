@@ -101,6 +101,11 @@ def test_grlex_position_matches_enumeration(nvars, m):
         grlex_position(nvars, m, -unit)  # negative entry
     with pytest.raises(KeyError):
         grlex_position(nvars, m, (m + 1) * unit)  # degree above m
+    big = np.full((1, nvars), 2**62, dtype=np.int64)  # int64 suffix sums of these wrap for nvars >= 2
+    with pytest.raises(KeyError, match=f"degree {nvars * 2**62} exceeds"):
+        grlex_position(nvars, m, big)
+    with pytest.raises(KeyError, match=f"degree {2 * nvars * 2**62} exceeds"):
+        grlex_position(nvars, m, big, big)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
