@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .monomials import power_table
 from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
 
 __all__ = ["gen_random_sym", "gen_random_ns", "named_tensor", "NAMED_TENSORS"]
@@ -28,7 +27,7 @@ def gen_random_sym(n: int, m: int, r: int, eps: float = 0.0, seed: int = 0):
         raise ValueError(f"eps must be nonnegative, got {eps}")
     rng = np.random.default_rng(seed)
     U = _random_complex(rng, r, n)
-    R = SymTensor(n, m, monomial_values(U, power_table(n - 1, m)[0], m).sum(axis=0))
+    R = SymTensor(n, m, monomial_values(U, m).sum(axis=0))
     if eps > 0:
         E = SymTensor(n, m, _random_complex(rng, len(R.values)))
         E = E * (eps / E.norm())

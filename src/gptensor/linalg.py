@@ -19,6 +19,7 @@ __all__ = [
     "schur",
     "positive_combination",
     "joint_eigenvalues",
+    "joint_points",
     "NumericalError",
     "DEFAULT_RCOND",
 ]
@@ -147,3 +148,17 @@ def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
         "low_confidence": bool(gap < 1e-8 or comm > 1e-6),
     }
     return values, diagnostics
+
+
+def joint_points(mats: np.ndarray, pair: SchurPair, sizes):
+    """`joint_eigenvalues` of `mats` read as affine points, one block per variable group.
+
+    The K = sum(sizes) values of each Schur vector are cut into blocks of
+    `sizes` columns, and each block gets a leading column of ones (the fixed
+    first coordinate).  Returns (blocks, diagnostics); block b has shape
+    (r, sizes[b] + 1).
+    """
+    values, diagnostics = joint_eigenvalues(mats, pair)
+    ones = np.ones((len(values), 1), dtype=np.complex128)
+    blocks = np.split(values, np.cumsum(sizes)[:-1], axis=1)
+    return [np.concatenate([ones, b], axis=1) for b in blocks], diagnostics

@@ -23,6 +23,7 @@ __all__ = [
     "multiplicity",
     "multiplicities",
     "power_table",
+    "factor_table",
 ]
 
 
@@ -136,3 +137,18 @@ def power_table(nvars: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     powers.flags.writeable = False
     counts.flags.writeable = False
     return powers, counts
+
+
+@lru_cache(maxsize=None)
+def factor_table(nvars: int, m: int) -> np.ndarray:
+    """Shared read-only (N, m) table of the factors of every `power_table(nvars, m)` row.
+
+    Row alpha lists, in ascending order, the variable of each of the m factors of
+    x0^(m-|alpha|) * x1^a1 * ..., with 0 for the implicit x0, so the monomial's
+    value at v is the product of v[row[j]] over j.
+    """
+    powers = power_table(nvars, m)[0]
+    full = np.column_stack([m - powers.sum(axis=1), powers])
+    idx = np.repeat(np.tile(np.arange(nvars + 1), len(full)), full.ravel()).reshape(len(full), m)
+    idx.flags.writeable = False
+    return idx

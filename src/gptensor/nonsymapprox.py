@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import joint_eigenvalues, lstsq_min_norm, positive_combination, schur
+from .linalg import joint_points, lstsq_min_norm, positive_combination, schur
 from .refine import refine_if_helps, refine_nonsym
 from .tensors import DenseTensor, khatri_rao
 
@@ -168,12 +168,9 @@ def extract_modes(gm: NsGenMatrix, xi: np.ndarray):
     mode-j vector of term s, with leading entry 1.
     """
     mats = np.stack([build_mjk(gm, j, k) for (j, k) in _pairs(gm.dims)])
-    pair = schur(positive_combination(mats, xi))
-    values, diagnostics = joint_eigenvalues(mats, pair)
     sizes = [n - 1 for n in gm.dims[1:]]
-    ones = np.ones((gm.rank, 1), dtype=np.complex128)
-    blocks = np.split(values, np.cumsum(sizes)[:-1], axis=1)
-    return [np.concatenate([ones, b], axis=1).T for b in blocks], diagnostics
+    blocks, diagnostics = joint_points(mats, schur(positive_combination(mats, xi)), sizes)
+    return [b.T for b in blocks], diagnostics
 
 
 def solve_first_mode(F: DenseTensor, factors) -> np.ndarray:

@@ -139,7 +139,7 @@ def _sym_layout(n: int, m: int):
     scale = w[rows] * full[rows, np.arange(n)]
     for a in (w, rows, scale):
         a.flags.writeable = False
-    return w, lower_powers, rows, scale
+    return w, rows, scale
 
 
 def sym_residual_map(F: SymTensor, r: int):
@@ -153,13 +153,13 @@ def sym_residual_map(F: SymTensor, r: int):
     alpha_k = 0 stay zero.
     """
     n, m = F.n, F.m
-    w, lower_powers, rows, scale = _sym_layout(n, m)
+    w, rows, scale = _sym_layout(n, m)
 
     def residual(c):
-        return w * (monomial_values(c.reshape(r, n), F.powers, m).sum(axis=0) - F.values)
+        return w * (monomial_values(c.reshape(r, n), m).sum(axis=0) - F.values)
 
     def jacobian(c):
-        lower = monomial_values(c.reshape(r, n), lower_powers, m - 1)  # (r, N')
+        lower = monomial_values(c.reshape(r, n), m - 1)  # (r, N')
         J = np.zeros((len(w), r, n), dtype=np.complex128)
         J[rows[:, None], np.arange(r)[:, None], np.arange(n)] = lower.T[:, :, None] * scale[:, None]
         return J.reshape(len(w), r * n)
@@ -175,7 +175,7 @@ def sym_normal_map(F: SymTensor, r: int):
     and J^H res gathers the residual at the rows of every derivative.
     """
     n, m = F.n, F.m
-    _, lower_powers, rows, scale = _sym_layout(n, m)
+    _, rows, scale = _sym_layout(n, m)
 
     def normal(c, res):
         U = c.reshape(r, n)
@@ -186,7 +186,7 @@ def sym_normal_map(F: SymTensor, r: int):
             cross = U.T[None, :, :, None] * U.conj()[:, None, None, :]
             H += (m - 1) * (G ** (m - 2))[:, None, :, None] * cross
         H *= m
-        lower = monomial_values(U, lower_powers, m - 1)
+        lower = monomial_values(U, m - 1)
         return H.reshape(r * n, r * n), (lower.conj() @ (scale * res[rows])).ravel()
 
     return normal

@@ -13,12 +13,13 @@ of their power vector, so minimizing the compact objective minimizes the true
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import joint_eigenvalues, lstsq_min_norm, positive_combination, schur
+from .linalg import joint_points, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, monomials_upto, power_table
 from .refine import refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
@@ -71,6 +72,16 @@ class MonomialBasisPair:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def shift_blocks(self) -> tuple[tuple[slice, tuple[tuple[int, ...], ...]], ...]:
+        """B1 cut by degree, lowest first: the columns and power vectors of each degree."""
+        blocks, start = [], 0
+        for _, group in itertools.groupby(self.B1, key=sum):
+            alphas = tuple(group)
+            blocks.append((slice(start, start + len(alphas)), alphas))
+            start += len(alphas)
+        return tuple(blocks)
+
 
 @dataclass(frozen=True)
 class SymGenMatrix:
@@ -100,8 +111,13 @@ class SymApproxResult:
         return self.residual_opt if self.refined else self.residual_gp
 
 
+@lru_cache(maxsize=None)
 def build_bases(n: int, r: int) -> MonomialBasisPair:
-    """Monomial bases for rank r in n-1 variables."""
+    """Monomial bases for rank r in n-1 variables.
+
+    Cached: every call for one (n, r) returns the same object, so its index
+    tables (`shift_index`, `shift_blocks`) are built once per shape.
+    """
     if n < 2 or r < 1:
         raise ValueError(f"need n >= 2 and r >= 1, got n={n}, r={r}")
     nbar = n - 1
@@ -121,16 +137,33 @@ def assemble_system(F: SymTensor, alphas, B0):
     Rows run over gamma with |gamma| <= m - |alpha|: A[gamma, beta] = F_{beta+gamma}
     and B[gamma, k] = F_{alphas_k+gamma}, both scaled by the row weight; column k
     of the least-squares solution is the generating-matrix column of alphas_k.
+    The gather indices come from `_system_index`, built once per shape.
     """
-    degrees = np.unique(np.sum(alphas, axis=1))
+    index_A, index_B, w = _system_index(F.nbar, F.m, tuple(map(tuple, alphas)), tuple(map(tuple, B0)))
+    return F.values[index_A] * w, F.values[index_B] * w
+
+
+@lru_cache(maxsize=None)
+def _system_index(nbar: int, m: int, alphas: tuple, B0: tuple):
+    """Read-only compact rows of A and B in `assemble_system`, and the row weights.
+
+    Depends only on (n, m) and the two monomial lists, so the pipeline builds
+    it once per (n, m, r).
+    """
+    degrees = sorted({int(sum(a)) for a in alphas})
     if len(degrees) != 1:
-        raise ValueError(f"shift monomials must share one degree, got degrees {degrees.tolist()}")
-    d = F.m - int(degrees[0])
+        raise ValueError(f"shift monomials must share one degree, got degrees {degrees}")
+    d = m - degrees[0]
     if d < 0:
-        raise ValueError(f"|alpha| = {F.m - d} exceeds order m = {F.m}")
-    gammas, counts = power_table(F.nbar, d)
+        raise ValueError(f"|alpha| = {degrees[0]} exceeds order m = {m}")
+    gammas, counts = power_table(nbar, d)
+    rows = gammas[:, None]
+    index_A = grlex_position(nbar, m, rows, np.array(B0, dtype=np.int64)[None])
+    index_B = grlex_position(nbar, m, rows, np.array(alphas, dtype=np.int64)[None])
     w = np.sqrt(counts)[:, None]
-    return F.hankel(gammas, B0) * w, F.hankel(gammas, alphas) * w
+    for a in (index_A, index_B, w):
+        a.flags.writeable = False
+    return index_A, index_B, w
 
 
 def solve_generating_matrix(F: SymTensor, r: int) -> SymGenMatrix:
@@ -141,17 +174,14 @@ def solve_generating_matrix(F: SymTensor, r: int) -> SymGenMatrix:
             f"rank {r} needs shift monomials of degree {bases.max_degree} > order {F.m}; "
             f"their least-squares columns would be unconstrained"
         )
-    B1 = np.array(bases.B1)
-    degrees = B1.sum(axis=1)
-    G = np.empty((r, len(B1)), dtype=np.complex128)
-    residuals = np.empty(len(B1))
-    for deg in np.unique(degrees):
-        cols = np.flatnonzero(degrees == deg)
-        A, B = assemble_system(F, B1[cols], bases.B0)
+    G = np.empty((r, len(bases.B1)), dtype=np.complex128)
+    residuals = np.empty(len(bases.B1))
+    for cols, alphas in bases.shift_blocks:
+        A, B = assemble_system(F, alphas, bases.B0)
         if A.shape[0] < r:
             raise ValueError(
                 f"rank {r} exceeds the {A.shape[0]} rows of the system for shift "
-                f"monomials of degree {deg}; the least squares would be underdetermined"
+                f"monomials of degree {sum(alphas[0])}; the least squares would be underdetermined"
             )
         X = lstsq_min_norm(A, B)
         G[:, cols] = X
@@ -180,24 +210,25 @@ def extract_points(gm: SymGenMatrix, xi: np.ndarray):
     coordinate 1.
     """
     Ms = companion_matrices(gm)
-    pair = schur(positive_combination(Ms, xi))
-    values, diagnostics = joint_eigenvalues(Ms, pair)
-    points = np.concatenate([np.ones((len(values), 1), dtype=np.complex128), values], axis=1)
+    (points,), diagnostics = joint_points(Ms, schur(positive_combination(Ms, xi)), [gm.bases.nbar])
     return points, diagnostics
 
 
-def solve_coefficients(F: SymTensor, points: np.ndarray) -> np.ndarray:
-    """Coefficients minimizing the true tensor norm of the rank-r combination."""
+def solve_coefficients(F: SymTensor, points: np.ndarray):
+    """Coefficients minimizing the true tensor norm of the rank-r combination.
+
+    Returns (lam, values): the coefficients and the compact entries of
+    sum_i lam_i v_i^(x)m, both from one evaluation of the points.
+    """
+    D = monomial_values(points, F.m)  # (r, N)
     w = np.sqrt(F.weights)
-    D = monomial_values(points, F.powers, F.m).T
-    return lstsq_min_norm(D * w[:, None], F.values * w)
+    lam = lstsq_min_norm(D.T * w[:, None], F.values * w)
+    return lam, lam @ D
 
 
 def reconstruct_sym(points: np.ndarray, coefficients: np.ndarray, n: int, m: int) -> SymTensor:
     """Compact tensor sum of lambda_i * (v_i)^(x) m."""
-    powers = power_table(n - 1, m)[0]
-    terms = np.asarray(coefficients)[:, None] * monomial_values(points, powers, m)
-    return SymTensor(n, m, terms.sum(axis=0))
+    return SymTensor(n, m, np.asarray(coefficients) @ monomial_values(points, m))
 
 
 def rank1_closed_form(F: SymTensor):
@@ -209,12 +240,13 @@ def rank1_closed_form(F: SymTensor):
     """
     if F.m < 2:
         raise ValueError("rank-1 closed form needs order >= 2")
-    A, B = assemble_system(F, np.eye(F.nbar, dtype=np.int64), np.zeros((1, F.nbar), dtype=np.int64))
+    bases = build_bases(F.n, 1)
+    A, B = assemble_system(F, bases.B1, bases.B0)
     denom = np.vdot(A, A).real
     if denom == 0:
         raise ValueError("degenerate leading slice: all degree <= m-1 entries vanish")
     v = np.concatenate([[1.0], A[:, 0].conj() @ B / denom])
-    mono = monomial_values(v, F.powers, F.m)
+    mono = monomial_values(v, F.m)
     lam = np.sum(F.weights * mono.conj() * F.values) / np.sum(F.weights * np.abs(mono) ** 2)
     return complex(lam), v
 
@@ -243,8 +275,8 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
     xi = rng.uniform(size=F.nbar)
     xi /= xi.sum()
     points, diagnostics = extract_points(gm, xi)
-    lam = solve_coefficients(F, points)
-    X_gp = reconstruct_sym(points, lam, F.n, F.m)
+    lam, fitted = solve_coefficients(F, points)
+    X_gp = SymTensor(F.n, F.m, fitted)
     residual_gp = (F - X_gp).norm()
     u_ls = np.array([_principal_root(l, F.m) * v for l, v in zip(lam, points)], dtype=np.complex128)
     result = SymApproxResult(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .monomials import grlex_position, multiindex_to_power, power_table
+from .monomials import factor_table, grlex_position, multiindex_to_power, power_table
 
 __all__ = [
     "DenseTensor",
@@ -194,24 +194,24 @@ def khatri_rao(factors) -> np.ndarray:
     return out
 
 
-def monomial_values(v: np.ndarray, powers: np.ndarray, m: int) -> np.ndarray:
-    """Evaluate v0^(m-|alpha|) * v1^a1 * ... for every power vector row.
+def monomial_values(v: np.ndarray, m: int) -> np.ndarray:
+    """Evaluate v0^(m-|alpha|) * v1^a1 * ... for every stored power vector alpha.
 
-    `v` has shape (..., n) and the result (..., N): with all N stored power
-    vectors, row i is the compact storage of v[i]^(x)m.  The implicit exponent
-    of v0 completes each row to total degree m.
+    `v` has shape (..., n) and the result (..., N): row i is the compact storage
+    of v[i]^(x)m.  Each value is the product of the m factors that
+    `factor_table(n - 1, m)` lists, taken as m gathers of v.
     """
     v = np.asarray(v, dtype=np.complex128)
-    powers = np.asarray(powers, dtype=np.int64)
-    full = np.column_stack([m - powers.sum(axis=1), powers])
-    out = np.ones(v.shape[:-1] + (len(powers),), dtype=np.complex128)
-    for k in range(full.shape[1]):
-        table = v[..., k, None] ** np.arange(full[:, k].max() + 1)
-        out *= table[..., full[:, k]]
+    idx = factor_table(v.shape[-1] - 1, m)
+    if m == 0:
+        return np.ones(v.shape[:-1] + (len(idx),), dtype=np.complex128)
+    out = v[..., idx[:, 0]]
+    for j in range(1, m):
+        out *= v[..., idx[:, j]]
     return out
 
 
 def sym_power(v, m: int) -> SymTensor:
     """m-th symmetric tensor power of a vector v in C^n, stored compactly."""
     v = np.asarray(v, dtype=np.complex128)
-    return SymTensor(len(v), m, monomial_values(v, power_table(len(v) - 1, m)[0], m))
+    return SymTensor(len(v), m, monomial_values(v, m))

@@ -31,8 +31,10 @@ class TestRandomSym:
         expect = sym_power(U[0], m)
         for u in U[1:]:
             expect = expect + sym_power(u, m)
-        assert np.array_equal(R.values, expect.values)
-        assert np.array_equal(F.values, (expect + E).values)
+        # batched and per-vector products round differently; the sum over terms can cancel
+        bound = 2 * m * np.finfo(float).eps * np.max(np.abs(expect.values))
+        assert np.max(np.abs(R.values - expect.values)) <= bound
+        assert np.max(np.abs(F.values - (expect + E).values)) <= bound
 
     def test_validation(self):
         with pytest.raises(ValueError):

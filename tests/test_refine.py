@@ -132,7 +132,9 @@ class TestJacobians:
         c = rng.standard_normal(r * n) + 1j * rng.standard_normal(r * n)
         c[0] = c[n + 1 if r > 1 else 1] = 0.0  # zero coordinates, implicit x0 included
         _, jacobian = sym_residual_map(F, r)
-        assert np.array_equal(jacobian(c), loop_sym_jacobian(F, r, c))
+        J, oracle = jacobian(c), loop_sym_jacobian(F, r, c)
+        # gathered factors against power tables round differently: 2 m eps relative, zeros exact
+        assert np.all(np.abs(J - oracle) <= 2 * m * np.finfo(float).eps * np.abs(oracle))
 
     @pytest.mark.parametrize("dims,r", [((4, 3, 5), 2), ((3, 2, 4, 3), 3), ((2, 2, 2), 1)])
     def test_ns_jacobian_equals_loop_oracle(self, dims, r):

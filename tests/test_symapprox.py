@@ -171,7 +171,7 @@ class TestPipeline:
         from gptensor.tensors import monomial_values
 
         for v in res.points:
-            col = monomial_values(v, F.powers, F.m)
+            col = monomial_values(v, F.m)
             assert abs(np.sum(F.weights * col.conj() * diff)) <= 1e-8 * F.norm()
 
     def test_refinement_improves_or_keeps(self):
@@ -248,7 +248,47 @@ def test_duplicate_points_split_coefficient():
     v = v / v[0]
     F = sym_power(v, 3)
     pts = np.vstack([v, v])
-    lam = solve_coefficients(F, pts)
+    lam, _ = solve_coefficients(F, pts)
     assert np.allclose(lam[0], lam[1], atol=1e-8)
     X = reconstruct_sym(pts, lam, 4, 3)
     assert (F - X).norm() <= 1e-8 * F.norm()
+
+
+def test_fitted_values_are_the_reconstruction():
+    F, _, _ = gen_random_sym(5, 3, 2, 0.01, seed=3)
+    res = approx_sym(F, 2, refine=False)
+    lam, values = solve_coefficients(F, res.points)
+    assert np.array_equal(lam, res.coefficients)
+    assert np.array_equal(values, res.X_gp.values)
+    assert np.array_equal(values, reconstruct_sym(res.points, lam, F.n, F.m).values)
+
+
+def test_repeated_shape_reuses_its_index_tables(monkeypatch):
+    """No power-vector lookup on a second solve of one (n, m, r); one assembly per shift degree."""
+    from gptensor import monomials, refine, symapprox, tensors
+
+    lookups = []
+
+    def counted(*args):
+        lookups.append(args[:2])
+        return monomials.grlex_position(*args)
+
+    for module in (tensors, symapprox, refine):
+        monkeypatch.setattr(module, "grlex_position", counted)
+    assembled = []
+    assemble = symapprox.assemble_system
+    monkeypatch.setattr(symapprox, "assemble_system", lambda *a: assembled.append(a) or assemble(*a))
+    for cache in (symapprox.build_bases, symapprox._system_index, refine._sym_layout):
+        cache.cache_clear()
+
+    n, m, r = 7, 3, 5
+    for seed in (1, 2):
+        lookups.clear()
+        assembled.clear()
+        res = approx_sym(gen_random_sym(n, m, r, 0.05, seed=seed)[0], r)
+        rank1_closed_form(gen_random_sym(n, m, 1, 0.05, seed=seed)[0])
+        assert res.refined
+        # a cold shape builds its tables through the counter; the second solve builds none
+        assert bool(lookups) == (seed == 1)
+        degrees = {sum(alpha) for alpha in build_bases(n, r).B1}
+        assert len(assembled) == len(degrees) + 1  # the rank-1 closed form assembles once

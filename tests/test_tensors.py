@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gptensor.monomials import monomials_upto, multiindex_to_power, power_table
+from gptensor.monomials import factor_table, monomials_upto, multiindex_to_power, power_table
 from gptensor.tensors import (
     DenseTensor,
     SymTensor,
@@ -13,6 +13,9 @@ from gptensor.tensors import (
     outer_product,
     sym_power,
 )
+
+
+EPS = np.finfo(float).eps  # 2^-52
 
 
 def random_sym(n, m, seed=0):
@@ -174,11 +177,48 @@ class TestRankOne:
         rng = np.random.default_rng(11)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         t = SymTensor.zeros(3, 4)
-        vals = monomial_values(v, t.powers, 4)
+        vals = monomial_values(v, 4)
         for alpha, got in zip(t.powers, vals):
             expect = v[0] ** (4 - alpha.sum()) * v[1] ** alpha[0] * v[2] ** alpha[1]
             assert np.isclose(got, expect)
 
+    @pytest.mark.parametrize("n,m", [(3, 4), (8, 6), (1, 3), (1, 1)])
+    def test_monomial_values_match_python_products(self, n, m):
+        """Each value is m factors multiplied in a different order: within 2 m eps relative."""
+        rng = np.random.default_rng(10 * n + m)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = monomial_values(v, m)
+        powers = power_table(n - 1, m)[0]
+        assert got.shape == (len(powers),)
+        for alpha, value in zip(powers, got):
+            expect = complex(v[0]) ** (m - int(alpha.sum()))
+            for k, a in enumerate(alpha.tolist(), start=1):
+                for _ in range(a):
+                    expect *= complex(v[k])
+            assert abs(value - expect) <= 2 * m * EPS * abs(expect)
+
+    def test_monomial_values_exact_zeros_and_empty_powers(self):
+        # Gaussian integers multiply exactly, so every value is exact
+        v = np.array([1.0, 0.0, 2.0 - 1.0j, 0.0])
+        got = monomial_values(v, 3)
+        for alpha, value in zip(power_table(3, 3)[0], got):
+            expect = (2.0 - 1.0j) ** int(alpha[1]) if alpha[0] == alpha[2] == 0 else 0.0
+            assert value == expect
+        # 0^0 = 1: only x0^m survives at the first unit vector
+        e0 = monomial_values(np.eye(4)[0], 3)
+        assert e0[0] == 1.0 and not e0[1:].any()
+        assert np.array_equal(monomial_values(v, 0), [1.0])
+
+    def test_factor_table_is_shared_and_read_only(self):
+        idx = factor_table(4, 3)
+        assert idx is factor_table(4, 3)
+        assert idx.shape == (len(power_table(4, 3)[0]), 3)
+        # row alpha: its variables in ascending order, variable k repeated alpha_k times
+        full = np.column_stack([3 - power_table(4, 3)[0].sum(axis=1), power_table(4, 3)[0]])
+        assert np.array_equal(np.sort(idx, axis=1), idx)
+        assert all(np.array_equal(np.bincount(row, minlength=5), f) for row, f in zip(idx, full))
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
 
     @pytest.mark.parametrize("n,m", [(1, 3), (3, 4), (5, 2)])
     def test_batched_monomial_values_equal_per_row_calls(self, n, m):
@@ -186,10 +226,12 @@ class TestRankOne:
         powers = power_table(n - 1, m)[0]
         U = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
         U[0, 1, -1] = 0.0  # a zero coordinate
-        got = monomial_values(U, powers, m)
+        got = monomial_values(U, m)
         assert got.shape == (2, 3, len(powers))
         for idx in np.ndindex(2, 3):
-            assert np.array_equal(got[idx], monomial_values(U[idx], powers, m))
+            # numpy rounds a complex product differently at different array lengths
+            expect = monomial_values(U[idx], m)
+            assert np.all(np.abs(got[idx] - expect) <= 2 * m * EPS * np.abs(expect))
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     def test_khatri_rao_columns_are_raveled_outer_products(self, order):
