@@ -1,11 +1,16 @@
 """Nonsymmetric rank-r approximation via generating matrices.
 
-The tensor is first permuted so the largest dimension is mode 1.  One shared
-least-squares matrix per mode j >= 2 yields the generating-matrix columns;
-the r x r matrices assembled from those columns are jointly (approximately)
-diagonalized through one Schur decomposition, giving the mode-2..m vectors of
-every rank-1 term.  The first-mode vectors come from a final least squares
-with one shared design matrix.
+The tensor is first permuted so the largest dimension is mode 1, then
+compressed to a sequentially truncated MLSVD core: every mode of dimension
+above r is projected onto the leading r eigenvectors of the Gram of its
+unfolding (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal. Appl.
+2000; Vannieuwenhoven, Vandebril & Meerbergen, SIAM J. Sci. Comput. 2012).
+On the core, one shared least-squares matrix per mode j >= 2 yields the
+generating-matrix columns; the r x r matrices assembled from those columns
+are jointly (approximately) diagonalized through one Schur decomposition,
+giving the mode-2..m vectors of every rank-1 term, which the mode bases map
+back.  The first-mode vectors come from a final least squares with one
+shared design matrix, on the core with mode 1 kept whole.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg.blas
 
 from .linalg import joint_points, lstsq_min_norm, positive_combination, schur
 from .refine import refine_if_helps, refine_nonsym
@@ -26,6 +32,7 @@ __all__ = [
     "mode_permute",
     "assemble_system_ns",
     "solve_generating_matrix_ns",
+    "truncated_core",
     "build_mjk",
     "extract_modes",
     "solve_first_mode",
@@ -111,6 +118,45 @@ def mode_permute(F: DenseTensor):
     first = int(np.argmax(F.dims))
     perm = (first,) + tuple(j for j in range(F.order) if j != first)
     return DenseTensor(np.transpose(F.data, perm)), perm
+
+
+def truncated_core(Fp: DenseTensor, r: int):
+    """Sequentially truncated MLSVD of a mode-permuted tensor, for 2 <= r.
+
+    Modes t = m, ..., 2 of dimension n_t > r are projected onto U_t, the
+    leading r eigenvectors of the Gram of the mode-t unfolding of the
+    shrinking partial core, each column's largest entry made real positive;
+    this gives P, whose mode 1 is whole.  Mode 1 of P is then truncated the
+    same way, giving the core C.  Returns (P, C, bases) with bases[t] the
+    n_t x r matrix U_t, or None for a mode kept whole.  At r = 1, or when no
+    mode exceeds r, P and C are Fp itself.
+    """
+    m = Fp.order
+    bases = [None] * m
+    if r < 2 or max(Fp.dims) <= r:
+        return Fp, Fp, bases
+    core = Fp.data
+    # the mode handled next is always the last axis, and each handled mode
+    # moves to the front, so after modes m..2 the axes run (2, ..., m, 1)
+    for t in [*range(m - 1, 0, -1), 0]:
+        n = core.shape[-1]
+        X = core.reshape(-1, n)  # the transposed mode-t unfolding
+        if r < n:
+            gram = scipy.linalg.blas.zherk(1.0, X.T)  # upper triangle of X^T conj(X)
+            # leading eigenvector first: the core's points are scaled to a unit
+            # coordinate along it
+            U = np.linalg.eigh(gram, UPLO="U")[1][:, ::-1][:, :r]
+            # fixed phases, the largest entry of each column real positive: the
+            # eigensolver's own phase choice would move the positive combination
+            piv = U[np.argmax(np.abs(U), axis=0), np.arange(r)]
+            bases[t] = U * (piv.conj() / np.abs(piv))
+            front = bases[t].conj().T @ X.T
+        else:
+            front = X.T
+        core = front.reshape(front.shape[0], *core.shape[:-1])
+        if t == 1:
+            P = DenseTensor(np.moveaxis(core, -1, 0))
+    return P, DenseTensor(core), bases
 
 
 def assemble_system_ns(F: DenseTensor, j: int, r: int):
@@ -227,14 +273,17 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     Fp, perm = mode_permute(F)
     rng = np.random.default_rng(seed)
 
-    gm = solve_generating_matrix_ns(Fp, r)
-    xi = _draw_xi(Fp.dims, rng)
-    modes, diagnostics = extract_modes(gm, xi)
-    permuted = [solve_first_mode(Fp, modes).T, *modes]
+    P, C, bases = truncated_core(Fp, r)
+    gm = solve_generating_matrix_ns(C, r)
+    xi = _draw_xi(C.dims, rng)
+    W, diagnostics = extract_modes(gm, xi)
+    # U_2 (x) ... (x) U_m has orthonormal columns, so the fit on P is the fit on Fp
+    modes = [w if U is None else U @ w for U, w in zip(bases[1:], W)]
+    permuted = [solve_first_mode(P, W).T, *modes]
     factors = [permuted[t] for t in np.argsort(perm)]
     tuples = [[a[:, s] for a in factors] for s in range(r)]
     X_gp = reconstruct_ns(tuples)
-    residual_gp = (F - X_gp).norm()
+    residual_gp = float(np.linalg.norm(F.data - X_gp.data))
     diagnostics = dict(diagnostics, xi_seed=seed)
 
     result = NsApproxResult(

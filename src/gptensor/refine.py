@@ -299,16 +299,31 @@ def ns_normal_map(F: DenseTensor, r: int):
     return normal
 
 
+def _balanced(tup):
+    """A term's mode vectors rescaled to their geometric-mean norm.
+
+    The factors multiply to 1, so the term's outer product is unchanged.  A
+    term with a zero vector is returned as it is.
+    """
+    vs = [np.asarray(v, dtype=np.complex128) for v in tup]
+    norms = np.array([np.linalg.norm(v) for v in vs])
+    if not np.all(norms > 0):
+        return vs
+    mean = np.exp(np.log(norms).mean())
+    return [v * (mean / nu) for v, nu in zip(vs, norms)]
+
+
 def refine_nonsym(F: DenseTensor, tuples, options: RefineOptions | None = None):
     """Polish rank-1 tuples so their sum tracks the dense tensor F.
 
-    Returns (tuples_opt, residual_opt) with the same list-of-vectors layout.
+    Each term starts balanced (see `_balanced`): the split of its scale among
+    its mode vectors is arbitrary, and an unbalanced split only slows the
+    solver.  Returns (tuples_opt, residual_opt) with the same list-of-vectors
+    layout.
     """
     r = len(tuples)
     residual, _, unpack = ns_residual_map(F, r)
-    c0 = np.concatenate([np.concatenate([np.asarray(v) for v in tup]) for tup in tuples]).astype(
-        np.complex128
-    )
+    c0 = np.concatenate([np.concatenate(_balanced(tup)) for tup in tuples])
     c_opt, res_opt, _ = levenberg_marquardt(c0, residual, ns_normal_map(F, r), options)
     return unpack(c_opt), res_opt
 

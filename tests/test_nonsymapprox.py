@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gptensor import nonsymapprox
 from gptensor.generate import gen_random_ns, named_tensor
 from gptensor.nonsymapprox import (
     approx_nonsym,
@@ -14,8 +15,9 @@ from gptensor.nonsymapprox import (
     reconstruct_ns,
     solve_first_mode,
     solve_generating_matrix_ns,
+    truncated_core,
 )
-from gptensor.tensors import DenseTensor, outer_product
+from gptensor.tensors import DenseTensor, khatri_rao, outer_product
 
 
 class TestModePermute:
@@ -120,8 +122,16 @@ class TestExtraction:
 class TestPipeline:
     @pytest.mark.parametrize(
         "dims,r,seed",
-        # (12, 3, 3, 3) r=8: every mode system has 9 rows, enough for r = 8
-        [((5, 4, 3), 2, 0), ((6, 6, 6), 4, 1), ((4, 5, 3, 3), 2, 2), ((12, 3, 3, 3), 8, 1)],
+        # (12, 3, 3, 3) r=8: every mode system has 9 rows, enough for r = 8; its core
+        # truncates mode 1 only, (30, 20, 10) r=10 all modes but the last, (8, 7, 6, 5) r=4 all
+        [
+            ((5, 4, 3), 2, 0),
+            ((6, 6, 6), 4, 1),
+            ((4, 5, 3, 3), 2, 2),
+            ((12, 3, 3, 3), 8, 1),
+            ((30, 20, 10), 10, 3),
+            ((8, 7, 6, 5), 4, 4),
+        ],
     )
     def test_exact_recovery(self, dims, r, seed):
         F, _, _ = gen_random_ns(dims, r, 0.0, seed=seed)
@@ -185,6 +195,73 @@ class TestPipeline:
     def test_exact_skips_refinement(self):
         F, _, _ = gen_random_ns((5, 4, 3), 2, 0.0, seed=10)
         res = approx_nonsym(F, 2, refine=True)
+        assert not res.refined
+
+
+class TestCore:
+    @staticmethod
+    def project(data, bases, modes):
+        """data x_t U_t^H for every listed mode t that has a basis."""
+        for t in modes:
+            if bases[t] is not None:
+                data = np.moveaxis(np.tensordot(bases[t].conj(), data, axes=(0, t)), 0, t)
+        return data
+
+    def test_core_is_the_projection_onto_orthonormal_bases(self):
+        F, _, _ = gen_random_ns((7, 6, 5, 2), 3, 1e-2, seed=13)
+        P, C, bases = truncated_core(F, 3)
+        assert [b is None for b in bases] == [False, False, False, True]
+        for U in bases[:3]:
+            assert U.shape[1] == 3
+            assert np.linalg.norm(U.conj().T @ U - np.eye(3)) <= 1e-13
+        assert P.dims == (7, 3, 3, 2) and C.dims == (3, 3, 3, 2)
+        assert np.linalg.norm(P.data - self.project(F.data, bases, (1, 2, 3))) <= 1e-13 * F.norm()
+        assert np.linalg.norm(C.data - self.project(P.data, bases, (0,))) <= 1e-13 * F.norm()
+
+    @pytest.mark.parametrize("dims,r", [((5, 4, 3), 1), ((4, 4, 3), 4)])
+    def test_no_truncation_returns_the_tensor(self, dims, r):
+        F, _, _ = gen_random_ns(dims, 2, 1e-2, seed=14)
+        P, C, bases = truncated_core(F, r)
+        assert P is F and C is F and bases == [None] * len(dims)
+
+    def test_first_mode_fit_on_partial_core_equals_full_fit(self):
+        # at r = 6 the core truncates modes 1 and 2 and keeps mode 3 whole
+        F, _, _ = gen_random_ns((12, 8, 6), 6, 1e-2, seed=3)
+        assert [b is None for b in truncated_core(F, 6)[2]] == [False, False, True]
+        res = approx_nonsym(F, 6, refine=False, seed=3)
+        A = [np.column_stack(vs) for vs in zip(*res.tuples)]
+        full = solve_first_mode(F, A[1:]).T
+        assert np.linalg.norm(full - A[0]) <= 1e-10 * np.linalg.norm(A[0])
+
+    @pytest.mark.parametrize("dims,r,calls", [((60, 60, 60), 10, 18), ((5, 4, 3), 1, 5)])
+    def test_build_mjk_calls(self, monkeypatch, dims, r, calls):
+        # one multiplication matrix per (j, k) pair of the core: sum_j (min(n_j, r) - 1)
+        count = []
+
+        def counted(*args):
+            count.append(args)
+            return build_mjk(*args)
+
+        monkeypatch.setattr(nonsymapprox, "build_mjk", counted)
+        F, _, _ = gen_random_ns(dims, r, 0.0, seed=15)
+        approx_nonsym(F, r, refine=False, seed=15)
+        assert len(count) == calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noisy_residual_near_the_perturbation(self, seed):
+        F, _, E = gen_random_ns((60, 60, 60), 10, 1e-2, seed=seed)
+        res = approx_nonsym(F, 10, refine=False, seed=seed)
+        assert res.residual_gp <= 1.5 * E.norm()
+
+    def test_term_weights_spanning_1e4_stay_exact(self):
+        # the Gram squares the spread of the mode singular values; at a 1e-4
+        # spread the exact residual stays below SKIP_REFINE_TOL, so LM is skipped
+        rng = np.random.default_rng(16)
+        A = [rng.standard_normal((60, 10)) + 1j * rng.standard_normal((60, 10)) for _ in range(3)]
+        A[0] *= np.logspace(0, -4, 10)
+        F = DenseTensor((A[0] @ khatri_rao(A[1:]).T).reshape(60, 60, 60))
+        res = approx_nonsym(F, 10, seed=16)
+        assert res.residual_gp <= 1e-11 * F.norm()
         assert not res.refined
 
 

@@ -302,6 +302,50 @@ class TestMonotonicity:
         assert res <= 1e-8
 
 
+class TestBalancedStart:
+    @staticmethod
+    def start(seed):
+        rng = np.random.default_rng(seed)
+        F, _, _ = gen_random_ns((5, 4, 3), 2, 0.1, seed=seed)
+        tuples = [[rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in F.dims] for _ in range(2)]
+        return F, tuples
+
+    @pytest.mark.parametrize("seed,lam", [(20, 1e3), (21, 1e-2)])
+    def test_rescaled_term_reaches_same_residual(self, monkeypatch, seed, lam):
+        starts = []
+
+        def recorded(c0, *args):
+            starts.append(c0)
+            return levenberg_marquardt(c0, *args)
+
+        monkeypatch.setattr(refine, "levenberg_marquardt", recorded)
+        F, tuples = self.start(seed)
+        (a, b, c), other = tuples
+        _, res = refine_nonsym(F, tuples)
+        _, res_scaled = refine_nonsym(F, [[lam * a, b / lam, c], other])
+        assert abs(res_scaled - res) <= 1e-12
+        # both calls hand the solver the same balanced start
+        assert np.linalg.norm(starts[1] - starts[0]) <= 1e-14 * np.linalg.norm(starts[0])
+
+    def test_zero_mode_vector_accepted(self):
+        F, tuples = self.start(22)
+        tuples[0][1] = np.zeros(4, dtype=complex)
+        residual, _, _ = ns_residual_map(F, 2)
+        start = np.linalg.norm(residual(np.concatenate([np.concatenate(t) for t in tuples])))
+        tup_opt, res = refine_nonsym(F, tuples)
+        assert np.isfinite(res) and res <= start + 1e-12
+        assert all(np.all(np.isfinite(v)) for tup in tup_opt for v in tup)
+
+    def test_balancing_keeps_the_product(self):
+        F, (tup, _) = self.start(23)
+        tup = [1e4 * tup[0], tup[1], 1e-3 * tup[2]]
+        bal = refine._balanced(tup)
+        norms = [np.linalg.norm(v) for v in bal]
+        assert np.allclose(norms, norms[0], rtol=1e-14)
+        expect = outer_product(tup).data
+        assert np.linalg.norm(outer_product(bal).data - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
 class TestAgainstRealEmbedding:
     @staticmethod
     def start(kind, seed):
