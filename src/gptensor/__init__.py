@@ -11,7 +11,7 @@ from .generate import NAMED_TENSORS, gen_random_ns, gen_random_sym, named_tensor
 from .linalg import NumericalError
 from .nonsymapprox import NsApproxResult, approx_nonsym, rank1_closed_form_ns
 from .rank import SpectrumReport, estimate_rank, spectrum_ns, spectrum_sym
-from .refine import RefineOptions, refine_nonsym, refine_sym
+from .refine import refine_nonsym, refine_sym
 from .symapprox import SymApproxResult, approx_sym, rank1_closed_form
 from .tensorio import FormatError, parse_report, read_tensor, write_tensor
 from .tensors import DenseTensor, SymTensor
@@ -45,7 +45,6 @@ __all__ = [
     "NsApproxResult",
     "SpectrumReport",
     "RunReport",
-    "RefineOptions",
     "FormatError",
     "NumericalError",
 ]

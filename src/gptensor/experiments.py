@@ -16,7 +16,7 @@ import numpy as np
 from .generate import gen_random_ns, gen_random_sym
 from .linalg import NumericalError
 from .nonsymapprox import approx_nonsym, check_shape_ns
-from .symapprox import approx_sym
+from .symapprox import approx_sym, check_shape_sym
 
 __all__ = ["InstanceSpec", "TrialResult", "RunReport", "relerr", "run_experiment", "bench_preset"]
 
@@ -39,7 +39,9 @@ class InstanceSpec:
             raise ValueError(f"sym dims must be (n, m), got {self.dims}")
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.kind == "nonsym":
+        if self.kind == "sym":
+            check_shape_sym(*self.dims, self.rank)
+        else:
             check_shape_ns(self.dims, self.rank)
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
@@ -127,39 +129,36 @@ def run_experiment(spec: InstanceSpec) -> RunReport:
     return report
 
 
+def _rows(kind: str, seed: int, rows) -> list[InstanceSpec]:
+    """One 20-trial spec per (dims, rank, eps) row; row i has its own seed, seed + i."""
+    return [
+        InstanceSpec(kind, dims, r, eps, seed=seed + i, trials=20)
+        for i, (dims, r, eps) in enumerate(rows)
+    ]
+
+
 # Desk-scale presets mirroring the published experiment tables.  Rows that
 # would be too slow on a laptop are shrunk; the deviation is noted in the
 # rendered header.
 _PRESETS = {
     "table1": {
         "note": "symmetric approximation; desk scale keeps (n=10, m=3, r=5)",
-        "specs": [
-            InstanceSpec("sym", (10, 3), 5, eps, seed=7, trials=20) for eps in (1e-1, 1e-2, 1e-3)
-        ],
+        "specs": _rows("sym", 7, [((10, 3), 5, eps) for eps in (1e-1, 1e-2, 1e-3)]),
     },
     "table2": {
         "note": "symmetric exact decomposition; desk scale uses (10,3,r=5) and (15,4,r=10)",
-        "specs": [
-            InstanceSpec("sym", (10, 3), 5, 0.0, seed=11, trials=20),
-            InstanceSpec("sym", (15, 4), 10, 0.0, seed=11, trials=20),
-        ],
+        "specs": _rows("sym", 11, [((10, 3), 5, 0.0), ((15, 4), 10, 0.0)]),
     },
     "table3": {
         "note": "nonsymmetric approximation; desk scale keeps dims (10,10,10), r=5",
-        "specs": [
-            InstanceSpec("nonsym", (10, 10, 10), 5, eps, seed=13, trials=20)
-            for eps in (1e-1, 1e-2, 1e-3)
-        ],
+        "specs": _rows("nonsym", 13, [((10, 10, 10), 5, eps) for eps in (1e-1, 1e-2, 1e-3)]),
     },
     "table4": {
         "note": (
             "nonsymmetric exact decomposition; desk scale shrinks the largest "
             "published row to dims (60,60,60), r=10 and uses 20 trials everywhere"
         ),
-        "specs": [
-            InstanceSpec("nonsym", (20, 20, 20), 10, 0.0, seed=17, trials=20),
-            InstanceSpec("nonsym", (60, 60, 60), 10, 0.0, seed=17, trials=20),
-        ],
+        "specs": _rows("nonsym", 17, [((20, 20, 20), 10, 0.0), ((60, 60, 60), 10, 0.0)]),
     },
 }
 

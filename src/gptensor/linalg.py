@@ -43,11 +43,11 @@ class SchurPair:
         return np.diag(self.T)
 
 
-def lstsq_min_norm(A: np.ndarray, b: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution x = pinv(A) b.
 
-    Singular values below rcond * sigma_max are treated as zero.  `b` may be a
-    vector or a matrix of stacked right-hand sides.
+    Singular values below DEFAULT_RCOND * sigma_max are treated as zero.  `b`
+    may be a vector or a matrix of stacked right-hand sides.
     """
     A = np.asarray(A, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -55,10 +55,8 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray, rcond: float = DEFAULT_RCOND) -
         raise ValueError("A must be a matrix")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, b has leading size {b.shape[0]}")
-    if not 0 < rcond < 1:
-        raise ValueError(f"rcond must be in (0, 1), got {rcond}")
     try:
-        x, *_ = np.linalg.lstsq(A, b, rcond=rcond)
+        x, *_ = np.linalg.lstsq(A, b, rcond=DEFAULT_RCOND)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"least-squares SVD did not converge: {exc}") from exc
     return x

@@ -17,7 +17,6 @@ residual maps remain as references for tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -26,7 +25,6 @@ from .monomials import grlex_position, power_table
 from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
 
 __all__ = [
-    "RefineOptions",
     "levenberg_marquardt",
     "sym_residual_map",
     "ns_residual_map",
@@ -36,6 +34,8 @@ __all__ = [
     "refine_nonsym",
     "refine_if_helps",
     "SKIP_REFINE_TOL",
+    "MAX_ITERATIONS",
+    "GRAD_TOL",
     "STEP_TOL",
     "RESIDUAL_TOL",
     "INIT_DAMPING",
@@ -46,27 +46,18 @@ __all__ = [
 # decomposition and there is nothing left to polish.
 SKIP_REFINE_TOL = 1e-10
 
-# Fixed Levenberg-Marquardt rules: stop when a step is at most STEP_TOL * (1 + ||c||)
-# or the residual norm at most RESIDUAL_TOL; the first damping is
-# INIT_DAMPING * max diag(J^H J).
+# Fixed Levenberg-Marquardt rules: stop after MAX_ITERATIONS iterations, when
+# the largest real gradient entry is at most GRAD_TOL, when a step is at most
+# STEP_TOL * (1 + ||c||) or when the residual norm is at most RESIDUAL_TOL; the
+# first damping is INIT_DAMPING * max diag(J^H J).
+MAX_ITERATIONS = 500
+GRAD_TOL = 1e-10
 STEP_TOL = 1e-12
 RESIDUAL_TOL = 1e-15
 INIT_DAMPING = 1e-3
 
 
-@dataclass(frozen=True)
-class RefineOptions:
-    max_iterations: int = 500
-    grad_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-
-
-def levenberg_marquardt(c0: np.ndarray, residual, normal, options: RefineOptions | None = None):
+def levenberg_marquardt(c0: np.ndarray, residual, normal):
     """Minimize ||residual(c)||^2 over complex parameter vectors c.
 
     `residual(c)` returns a complex vector r, and `normal(c, r)` the pair
@@ -74,7 +65,6 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal, options: RefineOptions
     called at the start and after every accepted step.
     Returns (c_best, ||residual(c_best)||, iterations).
     """
-    opts = options or RefineOptions()
     c = np.array(c0, dtype=np.complex128)
     r = residual(c)
     H, g = normal(c, r)
@@ -83,9 +73,9 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal, options: RefineOptions
     mu = INIT_DAMPING * max(np.max(H.diagonal().real), np.finfo(float).tiny)
     nu = 2.0
     iters = 0
-    for iters in range(1, opts.max_iterations + 1):
+    for iters in range(1, MAX_ITERATIONS + 1):
         # the real gradient over (Re c, Im c) is (Re g, Im g)
-        if np.max(np.abs(g.view(np.float64))) <= opts.grad_tol:
+        if np.max(np.abs(g.view(np.float64))) <= GRAD_TOL:
             break
         if np.sqrt(2.0 * cost) <= RESIDUAL_TOL:
             break
@@ -192,7 +182,7 @@ def sym_normal_map(F: SymTensor, r: int):
     return normal
 
 
-def refine_sym(F: SymTensor, u, options: RefineOptions | None = None):
+def refine_sym(F: SymTensor, u):
     """Polish scaled vectors u (r x n) so sum u_i^{(x)m} tracks F.
 
     The objective is the true tensor norm of the error, evaluated on compact
@@ -201,7 +191,7 @@ def refine_sym(F: SymTensor, u, options: RefineOptions | None = None):
     U0 = np.asarray(u, dtype=np.complex128)
     r, n = U0.shape
     residual, _ = sym_residual_map(F, r)
-    c_opt, res_opt, _ = levenberg_marquardt(U0.ravel(), residual, sym_normal_map(F, r), options)
+    c_opt, res_opt, _ = levenberg_marquardt(U0.ravel(), residual, sym_normal_map(F, r))
     return c_opt.reshape(r, n), res_opt
 
 
@@ -313,7 +303,7 @@ def _balanced(tup):
     return [v * (mean / nu) for v, nu in zip(vs, norms)]
 
 
-def refine_nonsym(F: DenseTensor, tuples, options: RefineOptions | None = None):
+def refine_nonsym(F: DenseTensor, tuples):
     """Polish rank-1 tuples so their sum tracks the dense tensor F.
 
     Each term starts balanced (see `_balanced`): the split of its scale among
@@ -324,7 +314,7 @@ def refine_nonsym(F: DenseTensor, tuples, options: RefineOptions | None = None):
     r = len(tuples)
     residual, _, unpack = ns_residual_map(F, r)
     c0 = np.concatenate([np.concatenate(_balanced(tup)) for tup in tuples])
-    c_opt, res_opt, _ = levenberg_marquardt(c0, residual, ns_normal_map(F, r), options)
+    c_opt, res_opt, _ = levenberg_marquardt(c0, residual, ns_normal_map(F, r))
     return unpack(c_opt), res_opt
 
 
@@ -332,8 +322,8 @@ def refine_if_helps(refine_fn, F, start, residual_gp: float):
     """Polish `start` with `refine_fn` (refine_sym or refine_nonsym) when worthwhile.
 
     Returns None when residual_gp <= SKIP_REFINE_TOL * ||F|| or when the
-    polish, with the default `RefineOptions`, ends worse than residual_gp
-    (beyond 1e-12); otherwise returns refine_fn's (start_opt, residual_opt).
+    polish, under the fixed solver rules, ends worse than residual_gp (beyond
+    1e-12); otherwise returns refine_fn's (start_opt, residual_opt).
     """
     if residual_gp <= SKIP_REFINE_TOL * F.norm():
         return None

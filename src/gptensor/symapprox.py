@@ -14,6 +14,7 @@ of their power vector, so minimizing the compact objective minimizes the true
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -29,6 +30,7 @@ __all__ = [
     "SymGenMatrix",
     "SymApproxResult",
     "build_bases",
+    "check_shape_sym",
     "assemble_system",
     "solve_generating_matrix",
     "companion_matrices",
@@ -52,7 +54,7 @@ class MonomialBasisPair:
     def rank(self) -> int:
         return len(self.B0)
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         return max(sum(a) for a in self.B1)
 
@@ -131,6 +133,34 @@ def build_bases(n: int, r: int) -> MonomialBasisPair:
     return MonomialBasisPair(nbar=nbar, B0=b0, B1=b1)
 
 
+def check_shape_sym(n: int, m: int, r: int) -> None:
+    """Raise ValueError unless `approx_sym` can fit rank r to a symmetric (n, m) tensor.
+
+    It needs order m >= 2, r in 1..C(n-1+m, m), n >= 2, shift monomials of
+    degree <= m, and at least r rows in the system of every shift degree d:
+    one row per monomial of degree <= m - d in the n - 1 variables.
+    """
+    if m < 2:
+        raise ValueError("approximation needs order >= 2")
+    nmon = math.comb(n - 1 + m, m)
+    if not 1 <= r <= nmon:
+        raise ValueError(f"rank must be in 1..{nmon}, got {r}")
+    bases = build_bases(n, r)
+    if bases.max_degree > m:
+        raise ValueError(
+            f"rank {r} needs shift monomials of degree {bases.max_degree} > order {m}; "
+            f"their least-squares columns would be unconstrained"
+        )
+    for _, alphas in bases.shift_blocks:
+        d = sum(alphas[0])
+        rows = math.comb(bases.nbar + m - d, bases.nbar)
+        if rows < r:
+            raise ValueError(
+                f"rank {r} exceeds the {rows} rows of the system for shift "
+                f"monomials of degree {d}; the least squares would be underdetermined"
+            )
+
+
 def assemble_system(F: SymTensor, alphas, B0):
     """Shared matrix A and right-hand sides B for shift monomials of one degree.
 
@@ -168,21 +198,12 @@ def _system_index(nbar: int, m: int, alphas: tuple, B0: tuple):
 
 def solve_generating_matrix(F: SymTensor, r: int) -> SymGenMatrix:
     """Generating matrix by minimum-norm least squares, one solve per shift degree."""
+    check_shape_sym(F.n, F.m, r)
     bases = build_bases(F.n, r)
-    if bases.max_degree > F.m:
-        raise ValueError(
-            f"rank {r} needs shift monomials of degree {bases.max_degree} > order {F.m}; "
-            f"their least-squares columns would be unconstrained"
-        )
     G = np.empty((r, len(bases.B1)), dtype=np.complex128)
     residuals = np.empty(len(bases.B1))
     for cols, alphas in bases.shift_blocks:
         A, B = assemble_system(F, alphas, bases.B0)
-        if A.shape[0] < r:
-            raise ValueError(
-                f"rank {r} exceeds the {A.shape[0]} rows of the system for shift "
-                f"monomials of degree {sum(alphas[0])}; the least squares would be underdetermined"
-            )
         X = lstsq_min_norm(A, B)
         G[:, cols] = X
         residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
@@ -264,11 +285,7 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
     nonlinear least-squares polish of the rank-1 terms is kept if it does not
     worsen the residual (see `refine.refine_if_helps`).
     """
-    if F.m < 2:
-        raise ValueError("approximation needs order >= 2")
-    nmon = len(F.powers)
-    if not 1 <= r <= nmon:
-        raise ValueError(f"rank must be in 1..{nmon}, got {r}")
+    check_shape_sym(F.n, F.m, r)
     rng = np.random.default_rng(seed)
 
     gm = solve_generating_matrix(F, r)

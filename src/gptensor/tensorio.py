@@ -208,7 +208,7 @@ def _vec_str(v) -> str:
 
 def _vec_parse(s: str) -> np.ndarray:
     out = []
-    for item in s.split(";"):
+    for item in s.split(";") if s else []:
         re, im = item.split(",")
         out.append(complex(float(re), float(im)))
     return np.array(out, dtype=np.complex128)
@@ -220,9 +220,9 @@ def render_report(meta: dict, sections: dict) -> str:
     Each value kind has its own syntax, so `parse_report` returns the same
     kind: true/false for bools, digits for ints, 17 significant digits with a
     point or an exponent for floats, `(a,b,...)` for sequences of ints,
-    semicolon-separated re,im pairs for other 1-D arrays (complex vectors),
-    and JSON string literals for strings (unquoted text from older reports
-    still decodes as a string when it reads as no other kind).
+    semicolon-separated re,im pairs for other 1-D arrays (complex vectors;
+    the empty text for an empty one), and JSON string literals for strings.
+    `parse_report` raises FormatError for a value that reads as none of these.
     """
     lines = ["REPORT v1", "[meta]"]
     for k, v in meta.items():
@@ -289,36 +289,19 @@ def parse_report(path) -> dict:
 
 
 def _decode(s: str):
-    if s.startswith('"'):
-        try:
+    """The value that the text of one report field encodes (see `render_report`)."""
+    try:
+        if s.startswith('"'):
             return json.loads(s)
-        except ValueError:
-            pass
-    if s in ("true", "false"):
-        return s == "true"
-    if s.startswith("(") and s.endswith(")"):
-        try:
-            return tuple(int(i) for i in s[1:-1].split(",") if i)
-        except ValueError:
-            return s
-    if ";" in s or ("," in s and all(_is_float(p) for item in s.split(";") for p in item.split(","))):
-        try:
+        if s in ("true", "false"):
+            return s == "true"
+        if s.startswith("(") and s.endswith(")"):
+            return tuple(int(i) for i in s[1:-1].split(",")) if s != "()" else ()
+        if not s or "," in s:
             return _vec_parse(s)
+        try:
+            return int(s)
         except ValueError:
-            pass
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
-
-
-def _is_float(p: str) -> bool:
-    try:
-        float(p)
-        return True
-    except ValueError:
-        return False
+            return float(s)
+    except ValueError as exc:
+        raise FormatError(f"report value {s!r} reads as no value kind") from exc

@@ -338,7 +338,7 @@ REPORT_VALUES = st.one_of(
     st.text(),
     st.sampled_from(["3", "true", "1,2", "(1)", "1.5", 'a="b";c\\d,e', " pad ", "x\ny"]),
     st.lists(st.integers(), min_size=2, max_size=3).map(tuple),
-    st.lists(_COMPLEX, min_size=1, max_size=2).map(lambda z: np.array(z, dtype=np.complex128)),
+    st.lists(_COMPLEX, min_size=0, max_size=2).map(lambda z: np.array(z, dtype=np.complex128)),
 )
 
 
@@ -380,12 +380,29 @@ class TestReports:
         path.write_text(text)
         assert parse_report(path)["s"]["x"] == 2.5
 
-    def test_unquoted_strings_of_older_reports_decode(self, tmp_path):
+    def test_values_of_no_kind_rejected(self, tmp_path):
         path = tmp_path / "r.rep"
-        path.write_text('REPORT v1\n[meta]\nkind=sym\n[spectrum]\nflattening=3x6\nnote="open\n')
-        back = parse_report(path)
-        assert back["meta"]["kind"] == "sym"
-        assert back["spectrum"] == {"flattening": "3x6", "note": '"open'}
+        for line in [
+            "refined=ture",
+            "residual_gp=0.1.2",
+            "point=1,0;2,x",
+            "point=1,0,2",
+            "dims=(3,x)",
+            "dims=(3,,3)",
+            "kind=sym",
+            "flattening=3x6",
+            'note="open',
+        ]:
+            path.write_text(f"REPORT v1\n[meta]\n{line}\n")
+            with pytest.raises(FormatError, match="reads as no value kind"):
+                parse_report(path)
+
+    def test_empty_value_is_an_empty_complex_vector(self, tmp_path):
+        path = tmp_path / "r.rep"
+        write_report(path, {"v": np.zeros(0, dtype=np.complex128)}, {})
+        assert "v=\n" in path.read_text()
+        back = parse_report(path)["meta"]["v"]
+        assert back.dtype == np.complex128 and back.shape == (0,)
 
     def test_non_report_rejected(self, tmp_path):
         path = tmp_path / "r.rep"

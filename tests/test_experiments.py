@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from gptensor.experiments import (
 from gptensor.generate import gen_random_sym
 from gptensor.linalg import NumericalError
 from gptensor.nonsymapprox import approx_nonsym
-from gptensor.tensors import DenseTensor
+from gptensor.symapprox import approx_sym
+from gptensor.tensors import DenseTensor, SymTensor
 
 
 class TestRelerr:
@@ -70,6 +73,23 @@ class TestSpecValidation:
             InstanceSpec("nonsym", dims, rank)
         with pytest.raises(ValueError, match=message):
             approx_nonsym(DenseTensor(np.arange(1.0, np.prod(dims) + 1).reshape(dims)), rank)
+
+    @pytest.mark.parametrize(
+        "dims,rank,message",
+        [
+            ((3, 2), 10, r"rank must be in 1\.\.6, got 10"),
+            ((1, 3), 1, "need n >= 2"),
+            ((4, 1), 1, "approximation needs order >= 2"),
+            ((3, 3), 9, "rank 9 needs shift monomials of degree 4 > order 3"),
+            ((3, 3), 5, "rank 5 exceeds the 3 rows of the system for shift monomials of degree 2"),
+        ],
+    )
+    def test_unsolvable_sym_spec_rejected_like_the_solver(self, dims, rank, message):
+        n, m = dims
+        with pytest.raises(ValueError, match=message):
+            InstanceSpec("sym", dims, rank)
+        with pytest.raises(ValueError, match=message):
+            approx_sym(SymTensor(n, m, np.arange(1.0, math.comb(n - 1 + m, m) + 1)), rank)
 
 
 class TestRunExperiment:
@@ -155,3 +175,9 @@ class TestPresets:
             assert preset["note"]
             for spec in preset["specs"]:
                 assert spec.trials >= 1
+
+    @pytest.mark.parametrize("name", ["table1", "table3"])
+    def test_eps_rows_draw_distinct_instances(self, name):
+        specs = experiments._PRESETS[name]["specs"]
+        assert len({s.eps for s in specs}) == len(specs) > 1
+        assert len({s.seed for s in specs}) == len(specs)

@@ -102,7 +102,7 @@ def test_lstsq_rcond_truncates_small_singular_values():
     # second column is a 1e-15 perturbation of the first: numerically rank 1
     A = np.array([[1.0, 1.0 + 1e-15], [1.0, 1.0]])
     b = np.array([1.0, 1.0])
-    x = lstsq_min_norm(A, b, rcond=1e-8)
+    x = lstsq_min_norm(A, b)
     assert np.allclose(x, [0.5, 0.5], atol=1e-6)
 
 
@@ -111,8 +111,6 @@ def test_validation_errors():
         lstsq_min_norm(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         lstsq_min_norm(np.zeros((3, 2)), np.zeros(4))
-    with pytest.raises(ValueError):
-        lstsq_min_norm(np.zeros((3, 2)), np.zeros(3), rcond=2.0)
     with pytest.raises(ValueError):
         svd(np.zeros((0, 3)))
     with pytest.raises(ValueError):

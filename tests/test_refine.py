@@ -6,7 +6,6 @@ import pytest
 from gptensor import refine
 from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.refine import (
-    RefineOptions,
     levenberg_marquardt,
     ns_normal_map,
     ns_residual_map,
@@ -67,10 +66,9 @@ def loop_ns_jacobian(F, r, c):
     return J
 
 
-def real_embedded_lm(c0, residual, jacobian, options=None):
+def real_embedded_lm(c0, residual, jacobian):
     """The solver on the stacked real vector (Re c, Im c) with the real Jacobian
     [[Re J, -Im J], [Im J, Re J]]; the complex solver must follow the same iterates."""
-    opts = options or RefineOptions()
     h = len(c0)
 
     def realize(rc, Jc):
@@ -87,9 +85,9 @@ def real_embedded_lm(c0, residual, jacobian, options=None):
     mu = refine.INIT_DAMPING * max(np.max(np.sum(J * J, axis=0)), np.finfo(float).tiny)
     nu = 2.0
     iters = 0
-    for iters in range(1, opts.max_iterations + 1):
+    for iters in range(1, refine.MAX_ITERATIONS + 1):
         g = J.T @ r
-        if np.max(np.abs(g)) <= opts.grad_tol:
+        if np.max(np.abs(g)) <= refine.GRAD_TOL:
             break
         if np.sqrt(2.0 * cost) <= refine.RESIDUAL_TOL:
             break
@@ -365,7 +363,7 @@ class TestAgainstRealEmbedding:
     @pytest.mark.parametrize(
         "kind,seed,rejects", [("sym", 0, False), ("dense", 7, False), ("dense", 0, True)]
     )
-    def test_same_iterates_as_real_embedding(self, kind, seed, rejects):
+    def test_same_iterates_as_real_embedding(self, monkeypatch, kind, seed, rejects):
         c0, residual, jacobian, normal = self.start(kind, seed)
         calls = {"residual": 0, "normal": 0}
 
@@ -376,11 +374,9 @@ class TestAgainstRealEmbedding:
 
             return wrapped
 
-        opts = RefineOptions(grad_tol=1e-6)
-        c_ref, res_ref, iters_ref = real_embedded_lm(c0, residual, jacobian, opts)
-        c, res, iters = levenberg_marquardt(
-            c0, counted("residual", residual), counted("normal", normal), opts
-        )
+        monkeypatch.setattr(refine, "GRAD_TOL", 1e-6)
+        c_ref, res_ref, iters_ref = real_embedded_lm(c0, residual, jacobian)
+        c, res, iters = levenberg_marquardt(c0, counted("residual", residual), counted("normal", normal))
         assert iters == iters_ref
         assert np.linalg.norm(c - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
         assert abs(res - res_ref) <= 1e-10 * res_ref
@@ -405,29 +401,22 @@ class TestSolverCore:
         assert np.allclose(c, x_ls, atol=1e-6)
         assert np.isclose(res, np.linalg.norm(A @ x_ls - b), atol=1e-8)
 
-    def test_iteration_budget_returns_best(self):
+    def test_iteration_budget_returns_best(self, monkeypatch):
         rng = np.random.default_rng(9)
         F, _, _ = gen_random_sym(4, 3, 2, 0.1, seed=9)
         u0 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        opts = RefineOptions(max_iterations=1)
+        monkeypatch.setattr(refine, "MAX_ITERATIONS", 1)
         residual, _ = sym_residual_map(F, 2)
         start = np.linalg.norm(residual(u0.ravel()))
-        _, res = refine_sym(F, u0, opts)
+        _, res = refine_sym(F, u0)
         assert res <= start + 1e-12
 
-    def test_zero_iterations_is_identity(self):
+    def test_zero_iterations_is_identity(self, monkeypatch):
         F, _, _ = gen_random_sym(3, 3, 1, 0.1, seed=10)
         u0 = np.ones((1, 3), dtype=complex)
         residual, _ = sym_residual_map(F, 1)
         start = np.linalg.norm(residual(u0.ravel()))
-        u_opt, res = refine_sym(F, u0, RefineOptions(max_iterations=0))
+        monkeypatch.setattr(refine, "MAX_ITERATIONS", 0)
+        u_opt, res = refine_sym(F, u0)
         assert np.allclose(u_opt, u0)
         assert np.isclose(res, start)
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            RefineOptions(max_iterations=-1)
-        with pytest.raises(ValueError):
-            RefineOptions(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            RefineOptions(grad_tol=float("nan"))
