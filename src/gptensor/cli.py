@@ -18,7 +18,7 @@ from .linalg import NumericalError
 from .nonsymapprox import approx_nonsym
 from .rank import spectrum_ns, spectrum_sym
 from .symapprox import approx_sym
-from .tensorio import FormatError, read_tensor, render_report, write_report, write_tensor
+from .tensorio import read_tensor, render_report, write_report, write_tensor
 from .tensors import DenseTensor, SymTensor
 
 EXIT_OK = 0
@@ -221,7 +221,7 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, FormatError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (NumericalError, np.linalg.LinAlgError, ZeroDivisionError) as exc:

@@ -6,17 +6,22 @@ maps to the monomial x_{i1-1} * ... * x_{im-1} with x0 := 1, and alpha records
 the exponent of each of x1,...,x_{n-1}.  Monomials of equal degree are ordered
 with x1 > x2 > ... > x_{n-1}, so listing starts 1, x1, ..., x_{n-1}, x1^2,
 x1*x2, ...
+
+Written as its m factors in ascending order (x0 padding the degree to m), a
+monomial is a sorted m-tuple, and this listing is the lexicographic order of
+those tuples, as `itertools.combinations_with_replacement(range(n), m)` yields
+them: `factor_table` is that enumeration, and `power_table` counts its factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "monomials_exact",
     "monomials_upto",
     "grlex_position",
     "multiindex_to_power",
@@ -28,24 +33,9 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
-def monomials_exact(nvars: int, deg: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples in `nvars` variables of total degree `deg`, grlex order."""
-    if nvars == 0:
-        return ((),) if deg == 0 else ()
-    out = []
-    for a in range(deg, -1, -1):
-        for rest in monomials_exact(nvars - 1, deg - a):
-            out.append((a,) + rest)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def monomials_upto(nvars: int, deg: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples with total degree <= `deg`, graded-lex order."""
-    out = []
-    for d in range(deg + 1):
-        out.extend(monomials_exact(nvars, d))
-    return tuple(out)
+    return tuple(map(tuple, power_table(nvars, deg)[0].tolist()))
 
 
 def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
@@ -127,12 +117,13 @@ def multiplicities(powers: np.ndarray, m: int) -> np.ndarray:
 def power_table(nvars: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Shared read-only `monomials_upto(nvars, m)` as an (N, nvars) array, and its counts.
 
+    Row i counts each variable's factors in row i of `factor_table(nvars, m)`.
     The counts are the multi-index counts of the rows (`multiplicities`).
     """
-    if nvars < 0 or m < 0:
-        raise ValueError(f"invalid (n, m) = ({nvars + 1}, {m})")
-    monos = monomials_upto(nvars, m)
-    powers = np.array(monos, dtype=np.int64).reshape(len(monos), nvars)
+    factors = factor_table(nvars, m)
+    bins = np.arange(len(factors))[:, None] * (nvars + 1) + factors
+    full = np.bincount(bins.ravel(), minlength=len(factors) * (nvars + 1))
+    powers = np.ascontiguousarray(full.reshape(len(factors), nvars + 1)[:, 1:])
     counts = multiplicities(powers, m)
     powers.flags.writeable = False
     counts.flags.writeable = False
@@ -147,8 +138,11 @@ def factor_table(nvars: int, m: int) -> np.ndarray:
     x0^(m-|alpha|) * x1^a1 * ..., with 0 for the implicit x0, so the monomial's
     value at v is the product of v[row[j]] over j.
     """
-    powers = power_table(nvars, m)[0]
-    full = np.column_stack([m - powers.sum(axis=1), powers])
-    idx = np.repeat(np.tile(np.arange(nvars + 1), len(full)), full.ravel()).reshape(len(full), m)
+    if nvars < 0 or m < 0:
+        raise ValueError(f"invalid (n, m) = ({nvars + 1}, {m})")
+    size = math.comb(nvars + m, m)
+    rows = itertools.combinations_with_replacement(range(nvars + 1), m)
+    idx = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=size * m)
+    idx = idx.reshape(size, m)
     idx.flags.writeable = False
     return idx

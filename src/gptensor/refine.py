@@ -63,13 +63,13 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
     `residual(c)` returns a complex vector r, and `normal(c, r)` the pair
     (J^H J, J^H r) for the complex Jacobian J of the residual at c.  It is
     called at the start and after every accepted step.
-    Returns (c_best, ||residual(c_best)||, iterations).
+    A step is taken only when it lowers the cost, so the last iterate is the best.
+    Returns (c, ||residual(c)||, iterations).
     """
     c = np.array(c0, dtype=np.complex128)
     r = residual(c)
     H, g = normal(c, r)
     cost = 0.5 * np.vdot(r, r).real
-    best_c, best_cost = c, cost
     mu = INIT_DAMPING * max(np.max(H.diagonal().real), np.finfo(float).tiny)
     nu = 2.0
     iters = 0
@@ -100,14 +100,12 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             mu = max(mu, 1e-300)
             nu = 2.0
-            if cost < best_cost:
-                best_c, best_cost = c, cost
         else:
             mu *= nu
             nu *= 2.0
             if mu > 1e18:
                 break
-    return best_c, float(np.sqrt(2.0 * best_cost)), iters
+    return c, float(np.sqrt(2.0 * cost)), iters
 
 
 @lru_cache(maxsize=None)

@@ -124,7 +124,7 @@ def build_bases(n: int, r: int) -> MonomialBasisPair:
         raise ValueError(f"need n >= 2 and r >= 1, got n={n}, r={r}")
     nbar = n - 1
     deg = 0
-    while len(monomials_upto(nbar, deg)) < r:
+    while math.comb(nbar + deg, deg) < r:
         deg += 1
     b0 = monomials_upto(nbar, deg)[:r]
     # B0 holds rows 0..r-1 of the graded-lex listing; B1 is every other shift, in order

@@ -57,15 +57,21 @@ class DenseTensor:
         return float(np.linalg.norm(self.data))
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
+        self._check_compatible(other)
         return DenseTensor(self.data + other.data)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
+        self._check_compatible(other)
         return DenseTensor(self.data - other.data)
 
     def __mul__(self, c) -> "DenseTensor":
         return DenseTensor(self.data * c)
 
     __rmul__ = __mul__
+
+    def _check_compatible(self, other: "DenseTensor"):
+        if self.dims != other.dims:
+            raise ValueError(f"incompatible dense tensors: dims {self.dims} vs {other.dims}")
 
 
 class SymTensor:
@@ -79,11 +85,11 @@ class SymTensor:
         self.nbar = n - 1
         # shared read-only rows of `monomials_upto(n - 1, m)` and their multi-index counts
         self.powers, self.weights = power_table(self.nbar, m)
-        if len(values) != len(self.powers):
+        self.values = np.array(values, dtype=np.complex128)
+        if self.values.shape != (len(self.powers),):
             raise ValueError(
-                f"expected {len(self.powers)} entries for n={n}, m={m}, got {len(values)}"
+                f"expected {len(self.powers)} entries for n={n}, m={m}, got shape {self.values.shape}"
             )
-        self.values = np.asarray(values, dtype=np.complex128).copy()
         if not np.isfinite(self.values).all():
             raise ValueError("tensor entries must be finite")
 
@@ -95,8 +101,8 @@ class SymTensor:
     def from_function(cls, n: int, m: int, fn) -> "SymTensor":
         """Build from a symmetric entry formula fn(i1,...,im), 1-based indices."""
         t = cls.zeros(n, m)
-        full = np.column_stack([m - t.powers.sum(axis=1), t.powers])  # counts of indices 1..n
-        t.values[:] = [fn(*np.repeat(np.arange(1, n + 1), row).tolist()) for row in full]
+        # row alpha of the factor table, shifted to 1-based, is a multi-index of alpha
+        t.values[:] = [fn(*idx) for idx in (factor_table(n - 1, m) + 1).tolist()]
         return t
 
     @classmethod

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptensor import tensorio
+from gptensor import experiments, tensorio
 from gptensor.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.monomials import grlex_position
@@ -480,6 +480,12 @@ class TestCli:
         assert main(["approx-ns", "--rank", "2", "--rcond", "1e-8", ns]) == EXIT_PRECONDITION
         assert main(["rank-est", "--gap-factor", "10", tns]) == EXIT_PRECONDITION
         assert main(["rank-est", "--floor", "1e-6", tns]) == EXIT_PRECONDITION
+        # a directory where a file is expected, for input and for output
+        folder = str(tmp_path)
+        assert main(["approx-ns", "--rank", "2", folder]) == EXIT_PRECONDITION
+        assert main(["approx-ns", "--rank", "2", "-o", folder, ns]) == EXIT_PRECONDITION
+        gen_sym = ["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2"]
+        assert main([*gen_sym, "-o", folder]) == EXIT_PRECONDITION
 
     def test_dimension_one_sym_file(self, tmp_path, capsys):
         tns = tmp_path / "one.tns"
@@ -525,6 +531,16 @@ class TestCli:
         assert report["meta"]["dims"] == (3, 5, 4)
         assert report["result"]["mode_permutation"] == (2, 1, 3)
         assert set(report["result"]) == {"residual_gp", "refined", "xi_seed", "mode_permutation"}
+
+    @pytest.mark.parametrize("preset,metric", [("table1", "mrlerr="), ("table2", "max_rel_residual=")])
+    def test_bench_preset_lines(self, capsys, preset, metric):
+        assert main(["bench", "--preset", preset]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"preset={preset}" and lines[1].startswith("note: ")
+        rows = lines[2:]
+        assert len(rows) == len(experiments._PRESETS[preset]["specs"])
+        assert all(metric in row and "mean_time=" in row for row in rows)
+        assert not any("failures:" in line for line in lines)
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL) == (0, 2, 3)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gptensor.monomials import (
     grlex_position,
-    monomials_exact,
     monomials_upto,
     multiindex_to_power,
     multiplicities,
@@ -36,11 +35,6 @@ def test_listing_starts_with_constant_and_linears():
     assert mons[1:4] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     # degree-2 block: x1^2, x1 x2, x1 x3, x2^2, x2 x3, x3^2
     assert mons[4:] == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-
-
-def test_monomials_exact_degrees():
-    for d in range(4):
-        assert all(sum(a) == d for a in monomials_exact(3, d))
 
 
 def test_multiindex_to_power_examples():

@@ -384,6 +384,24 @@ class TestAgainstRealEmbedding:
         assert (calls["residual"] > calls["normal"]) == rejects
 
 
+class TestRefineIfHelps:
+    def test_polish_that_ends_worse_is_dropped(self):
+        F, _, _ = gen_random_sym(4, 3, 2, 0.1, seed=11)
+        start = np.ones((2, 4), dtype=complex)
+        calls = []
+
+        def refine_fn(G, u):
+            calls.append((G, u))
+            return u, residual_gp + 2e-12
+
+        residual_gp = F.norm()
+        assert refine.refine_if_helps(refine_fn, F, start, residual_gp) is None
+        assert calls == [(F, start)]
+        # within 1e-12 of residual_gp the polish is kept
+        kept = refine.refine_if_helps(lambda G, u: (u, residual_gp + 5e-13), F, start, residual_gp)
+        assert kept[0] is start and kept[1] == residual_gp + 5e-13
+
+
 class TestSolverCore:
     def test_linear_problem_one_step(self):
         rng = np.random.default_rng(8)

@@ -49,6 +49,10 @@ class TestDenseTensor:
         assert np.allclose((a + b).data, a.data + b.data)
         assert np.allclose((a - b).data, a.data - b.data)
         assert np.allclose((2j * a).data, 2j * a.data)
+        # no broadcasting between tensors of different dims
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(ValueError, match="incompatible"):
+                op(DenseTensor(np.ones((3, 1, 2))))
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -121,6 +125,10 @@ class TestSymTensor:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             SymTensor(3, 3, np.zeros(5))
+        # values must be one vector of the layout's length (6 rows at n=3, m=2)
+        for values in (np.ones((6, 2)), np.ones((1, 6)), 1.0):
+            with pytest.raises(ValueError, match="expected 6 entries"):
+                SymTensor(3, 2, values)
         with pytest.raises(ValueError):
             SymTensor(0, 3, np.zeros(1))
         for n, m in [(0, 3), (3, 0), (-1, 2)]:
