@@ -58,6 +58,7 @@ def _cmd_approx_sym(args) -> int:
     result = {
         "residual_gp": res.residual_gp,
         "refined": res.refined,
+        "fit_cond": res.diagnostics["fit_cond"],
         "xi_seed": res.diagnostics.get("xi_seed", args.seed),
     }
     if res.refined:

@@ -46,8 +46,10 @@ class SchurPair:
 def lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution x = pinv(A) b.
 
-    Singular values below DEFAULT_RCOND * sigma_max are treated as zero.  `b`
-    may be a vector or a matrix of stacked right-hand sides.
+    Singular values at most DEFAULT_RCOND * sigma_max are treated as zero.  `b`
+    may be a vector or a matrix of stacked right-hand sides.  A tall A is
+    first reduced by QR, A = Q R: R has A's singular values and Q* b carries
+    everything of b that A can reach, so the SVD runs on the small R.
     """
     A = np.asarray(A, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -55,11 +57,20 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("A must be a matrix")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, b has leading size {b.shape[0]}")
+    if A.shape[0] > A.shape[1]:
+        try:
+            Q, A = np.linalg.qr(A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"least-squares QR failed: {exc}") from exc
+        b = Q.conj().T @ b
     try:
-        x, *_ = np.linalg.lstsq(A, b, rcond=DEFAULT_RCOND)
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"least-squares SVD did not converge: {exc}") from exc
-    return x
+    k = int(np.count_nonzero(s > DEFAULT_RCOND * s[0])) if s.size else 0
+    y = U[:, :k].conj().T @ b
+    y /= s[:k].reshape((k,) + (1,) * (b.ndim - 1))
+    return Vh[:k].conj().T @ y
 
 
 def svd(A: np.ndarray, compute_uv: bool = True):

@@ -3,7 +3,8 @@
 Pipeline: solve one least-squares system per shift degree for the generating
 matrix, form multiplication (companion) matrices for each variable, extract
 candidate points from a Schur decomposition of a random positive combination,
-then fit coefficients by weighted linear least squares.  An optional nonlinear
+then fit coefficients by weighted linear least squares, solved from the r x r
+Gram matrix of the normalized points.  An optional nonlinear
 refinement polishes the resulting rank-1 terms.
 
 All compact least-squares rows carry the square root of the multi-index count
@@ -39,7 +40,12 @@ __all__ = [
     "reconstruct_sym",
     "rank1_closed_form",
     "approx_sym",
+    "FIT_COND_LIMIT",
 ]
+
+# The coefficient fit solves its r x r Gram system when the Gram's condition
+# number is at most this, and falls back to an SVD least squares otherwise.
+FIT_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -238,13 +244,29 @@ def extract_points(gm: SymGenMatrix, xi: np.ndarray):
 def solve_coefficients(F: SymTensor, points: np.ndarray):
     """Coefficients minimizing the true tensor norm of the rank-r combination.
 
-    Returns (lam, values): the coefficients and the compact entries of
-    sum_i lam_i v_i^(x)m, both from one evaluation of the points.
+    The fit runs on the normalized points q_i = p_i / ||p_i||: their rank-1
+    terms have unit norm and the Gram matrix G[i, j] = (q_i^H q_j)^m (Phan,
+    Tichavsky & Cichocki, SIAM J. Matrix Anal. Appl. 2013), so it is an
+    r x r solve.  When cond(G) exceeds FIT_COND_LIMIT (duplicate points,
+    say) the normalized weighted design matrix goes to `lstsq_min_norm`
+    instead.  Returns (lam, values, cond): the coefficients, the compact
+    entries of sum_i lam_i v_i^(x)m, both from one evaluation of the points,
+    and cond(G) (inf for a singular G).
     """
     D = monomial_values(points, F.m)  # (r, N)
-    w = np.sqrt(F.weights)
-    lam = lstsq_min_norm(D.T * w[:, None], F.values * w)
-    return lam, lam @ D
+    norms = np.linalg.norm(points, axis=1)  # >= 1: the first coordinate is 1
+    unit, scale = points / norms[:, None], norms**F.m
+    # conj(D) @ (c F) as conj(D @ conj(c F)): conjugates an N-vector, not an (r, N) array
+    rhs = (D @ np.conj(F.weights * F.values)).conj() / scale
+    evals, evecs = np.linalg.eigh((unit.conj() @ unit.T) ** F.m)
+    cond = evals[-1] / evals[0] if evals[0] > 0 else np.inf
+    if cond <= FIT_COND_LIMIT:
+        lam = evecs @ ((evecs.conj().T @ rhs) / evals)
+    else:
+        w = np.sqrt(F.weights)
+        lam = lstsq_min_norm((D / scale[:, None]).T * w[:, None], F.values * w)
+    lam = lam / scale
+    return lam, lam @ D, float(cond)
 
 
 def reconstruct_sym(points: np.ndarray, coefficients: np.ndarray, n: int, m: int) -> SymTensor:
@@ -292,7 +314,7 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
     xi = rng.uniform(size=F.nbar)
     xi /= xi.sum()
     points, diagnostics = extract_points(gm, xi)
-    lam, fitted = solve_coefficients(F, points)
+    lam, fitted, fit_cond = solve_coefficients(F, points)
     X_gp = SymTensor(F.n, F.m, fitted)
     residual_gp = (F - X_gp).norm()
     u_ls = np.array([_principal_root(l, F.m) * v for l, v in zip(lam, points)], dtype=np.complex128)
@@ -303,7 +325,7 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
         u_ls=u_ls,
         X_gp=X_gp,
         residual_gp=residual_gp,
-        diagnostics=dict(diagnostics, xi_seed=seed),
+        diagnostics=dict(diagnostics, fit_cond=fit_cond, xi_seed=seed),
     )
 
     polished = refine_if_helps(refine_sym, F, u_ls, residual_gp) if refine else None

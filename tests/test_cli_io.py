@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,7 @@ from gptensor.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.monomials import grlex_position
 from gptensor.nonsymapprox import reconstruct_ns
-from gptensor.symapprox import reconstruct_sym
+from gptensor.symapprox import approx_sym, reconstruct_sym
 from gptensor.tensorio import (
     FormatError,
     _parse_entry,
@@ -524,7 +525,7 @@ class TestCli:
         assert main(["approx-sym", "--rank", "1", sym, "-o", rep]) == EXIT_OK
         report = parse_report(rep)
         assert report["meta"]["dims"] == (3, 3)
-        assert set(report["result"]) == {"residual_gp", "refined", "xi_seed"}
+        assert set(report["result"]) == {"residual_gp", "refined", "fit_cond", "xi_seed"}
         main(["gen", "--kind", "ns", "--dims", "3,5,4", "--rank", "2", "-o", dense])
         assert main(["approx-ns", "--rank", "2", dense, "-o", rep]) == EXIT_OK
         report = parse_report(rep)
@@ -541,6 +542,26 @@ class TestCli:
         assert len(rows) == len(experiments._PRESETS[preset]["specs"])
         assert all(metric in row and "mean_time=" in row for row in rows)
         assert not any("failures:" in line for line in lines)
+
+    def test_report_records_fit_cond(self, tmp_path):
+        tns, rep = str(tmp_path / "t.tns"), str(tmp_path / "t.rep")
+        main(["gen", "--kind", "sym", "--dims", "6,3", "--rank", "3", "--eps", "0.01", "--seed", "5", "-o", tns])
+        assert main(["approx-sym", "--rank", "3", "--seed", "2", "--no-refine", tns, "-o", rep]) == EXIT_OK
+        want = approx_sym(read_tensor(tns), 3, refine=False, seed=2).diagnostics["fit_cond"]
+        assert want >= 1.0
+        assert parse_report(rep)["result"]["fit_cond"] == want
+
+    @pytest.mark.parametrize("module,name", [(np.linalg, "svd"), (np.linalg, "qr"), (scipy.linalg, "schur")])
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys, module, name):
+        tns = str(tmp_path / "t.tns")
+        main(["gen", "--kind", "sym", "--dims", "5,3", "--rank", "2", "-o", tns])
+
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(module, name, fails)
+        assert main(["approx-sym", "--rank", "2", tns]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL) == (0, 2, 3)

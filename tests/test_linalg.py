@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gptensor.linalg import (
     DEFAULT_RCOND,
@@ -246,3 +247,80 @@ def test_svd_failure_is_numerical_error(monkeypatch, compute_uv):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(NumericalError, match="SVD did not converge"):
         svd(np.eye(2), compute_uv=compute_uv)
+
+
+def lstsq_oracle_bound(A, b, x):
+    """First-order perturbation bound (Wedin) on two backward-stable least-squares solutions.
+
+    Each solver's answer is exact for A and b perturbed by about max(rows, cols) * eps
+    relative, so two answers differ by at most twice the change that perturbation
+    can cause: eps' * (kappa + kappa^2 ||r|| / (||A|| ||x||)) * ||x||, per column, with
+    kappa = sigma_max / sigma_min over the singular values above the cutoff.
+    """
+    s = np.linalg.svd(A, compute_uv=False)
+    kept = s[s > DEFAULT_RCOND * s[0]]
+    kappa = kept[0] / kept[-1]
+    eps = max(A.shape) * np.finfo(float).eps
+    X, B = x.reshape(len(x), -1), b.reshape(len(b), -1)
+    xnorm = np.linalg.norm(X, axis=0)
+    rnorm = np.linalg.norm(A @ X - B, axis=0)
+    return 2 * eps * (kappa * xnorm + kappa**2 * rnorm / kept[0])
+
+
+class TestLstsqAgainstNumpy:
+    """`lstsq_min_norm` against `np.linalg.lstsq` at the same cutoff."""
+
+    @pytest.mark.parametrize("rows,cols", [(40, 6), (200, 10), (7, 7), (3, 9), (1, 5)])
+    @pytest.mark.parametrize("nrhs", [None, 1, 4])
+    def test_random_full_rank(self, rows, cols, nrhs):
+        rng = np.random.default_rng(rows * 100 + cols + (nrhs or 0))
+        A = random_matrix(rng, rows, cols)
+        b = random_matrix(rng, rows, nrhs or 1)
+        if nrhs is None:
+            b = b[:, 0]
+        x = lstsq_min_norm(A, b)
+        want, *_ = np.linalg.lstsq(A, b, rcond=DEFAULT_RCOND)
+        assert x.shape == want.shape
+        err = np.linalg.norm((x - want).reshape(cols, -1), axis=0)
+        assert np.all(err <= lstsq_oracle_bound(A, b, want))
+
+    @pytest.mark.parametrize("nrhs", [None, 3])
+    def test_rank_deficient_tall_is_minimum_norm(self, nrhs):
+        rng = np.random.default_rng(11)
+        rows, cols, rank = 30, 8, 5
+        A = random_matrix(rng, rows, rank) @ random_matrix(rng, rank, cols)
+        b = random_matrix(rng, rows, nrhs or 1)
+        if nrhs is None:
+            b = b[:, 0]
+        x = lstsq_min_norm(A, b)
+        want, *_ = np.linalg.lstsq(A, b, rcond=DEFAULT_RCOND)
+        bound = lstsq_oracle_bound(A, b, want)
+        assert np.all(np.linalg.norm((x - want).reshape(cols, -1), axis=0) <= bound)
+        # no component in the null space of A, beyond what the same bound allows
+        _, _, Vh = np.linalg.svd(A)
+        null = Vh[rank:]  # rows v_k^H of the null-space vectors
+        assert np.all(np.linalg.norm((null @ x).reshape(cols - rank, -1), axis=0) <= bound)
+
+    def test_factorization_failures_are_numerical_errors(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        tall, square = np.ones((5, 2)), np.eye(3)
+        monkeypatch.setattr(np.linalg, "qr", fails)
+        with pytest.raises(NumericalError, match="QR"):
+            lstsq_min_norm(tall, np.ones(5))
+        assert np.allclose(lstsq_min_norm(square, np.ones(3)), 1.0)  # no QR for a square A
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        for A in (tall, square):
+            with pytest.raises(NumericalError, match="SVD did not converge"):
+                lstsq_min_norm(A, np.ones(len(A)))
+
+
+def test_schur_failure_is_numerical_error(monkeypatch):
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("QR iteration failed")
+
+    monkeypatch.setattr(scipy.linalg, "schur", fails)
+    with pytest.raises(NumericalError, match="Schur decomposition failed"):
+        schur(np.eye(2))

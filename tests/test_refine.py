@@ -419,6 +419,30 @@ class TestSolverCore:
         assert np.allclose(c, x_ls, atol=1e-6)
         assert np.isclose(res, np.linalg.norm(A @ x_ls - b), atol=1e-8)
 
+    def test_failed_step_solve_raises_damping(self, monkeypatch):
+        """A LinAlgError from the damped solve doubles mu and the solver carries on."""
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        H = A.conj().T @ A
+        damping = []
+        solve = np.linalg.solve
+
+        def fails_once(M, rhs):
+            damping.append(M.diagonal() - H.diagonal())
+            if len(damping) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", fails_once)
+        c, res, iters = levenberg_marquardt(
+            np.zeros(3, dtype=complex), lambda c: A @ c - b, lambda c, r: (H, A.conj().T @ r)
+        )
+        mu = refine.INIT_DAMPING * H.diagonal().real.max()
+        assert np.allclose(damping[0], mu) and np.allclose(damping[1], 2 * mu)
+        assert iters > 2
+        assert np.isclose(res, np.linalg.norm(A @ np.linalg.lstsq(A, b, rcond=None)[0] - b))
+
     def test_iteration_budget_returns_best(self, monkeypatch):
         rng = np.random.default_rng(9)
         F, _, _ = gen_random_sym(4, 3, 2, 0.1, seed=9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gptensor import symapprox
 from gptensor.generate import gen_random_sym, named_tensor
 from gptensor.linalg import lstsq_min_norm
 from gptensor.monomials import monomials_upto, multiplicities
@@ -15,7 +16,7 @@ from gptensor.symapprox import (
     solve_coefficients,
     solve_generating_matrix,
 )
-from gptensor.tensors import SymTensor, sym_power
+from gptensor.tensors import SymTensor, monomial_values, sym_power
 
 
 class TestBases:
@@ -198,7 +199,7 @@ class TestPipeline:
         # n = 2: a single companion matrix, so nothing can fail to commute
         F, _, _ = gen_random_sym(2, 4, 2, 0.0, seed=1)
         diag = approx_sym(F, 2).diagnostics
-        assert set(diag) == {"commutator", "eigengap", "low_confidence", "xi_seed"}
+        assert set(diag) == {"commutator", "eigengap", "low_confidence", "fit_cond", "xi_seed"}
         assert diag["commutator"] == 0.0 and not diag["low_confidence"]
         # r = 1: a single eigenvalue has no gap to another
         F, _, _ = gen_random_sym(4, 3, 1, 0.0, seed=2)
@@ -240,24 +241,84 @@ class TestRankOneClosedForm:
             rank1_closed_form(F)
 
 
-def test_duplicate_points_split_coefficient():
-    # two identical points: the minimum-norm fit splits the weight, and the
-    # reconstruction still matches the optimal single-point projection
+def count_lstsq_calls(monkeypatch):
+    calls = []
+
+    def counted(A, b):
+        calls.append(A.shape)
+        return lstsq_min_norm(A, b)
+
+    monkeypatch.setattr(symapprox, "lstsq_min_norm", counted)
+    return calls
+
+
+def test_duplicate_points_split_coefficient(monkeypatch):
+    # two identical points: the Gram is singular, so the fit falls back to the
+    # minimum-norm least squares, which splits the weight; the reconstruction
+    # still matches the optimal single-point projection
     rng = np.random.default_rng(7)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = v / v[0]
     F = sym_power(v, 3)
     pts = np.vstack([v, v])
-    lam, _ = solve_coefficients(F, pts)
+    calls = count_lstsq_calls(monkeypatch)
+    lam, _, cond = solve_coefficients(F, pts)
+    assert calls == [(len(F.values), 2)]
+    assert cond > symapprox.FIT_COND_LIMIT
     assert np.allclose(lam[0], lam[1], atol=1e-8)
     X = reconstruct_sym(pts, lam, 4, 3)
     assert (F - X).norm() <= 1e-8 * F.norm()
 
 
+@pytest.mark.parametrize("n,m,r,eps", [(6, 3, 2, 0.0), (10, 3, 5, 0.05), (15, 4, 10, 0.0), (5, 4, 3, 1e-2)])
+def test_gram_fit_matches_lstsq_oracle(monkeypatch, n, m, r, eps):
+    """A well-conditioned fit solves the r x r Gram system and makes no least-squares call.
+
+    Oracle: numpy's SVD least squares on the weighted design matrix of the
+    normalized points.  The Gram entries carry (n + m) eps and the
+    right-hand side log2(N) eps of rounding, and cond(G) amplifies both.
+    """
+    F, _, _ = gen_random_sym(n, m, r, eps, seed=r)
+    points = approx_sym(F, r, refine=False, seed=1).points
+    calls = count_lstsq_calls(monkeypatch)
+    lam, _, cond = solve_coefficients(F, points)
+    assert calls == []
+    scale = np.linalg.norm(points, axis=1) ** m
+    unit = monomial_values(points, m) / scale[:, None]
+    w = np.sqrt(F.weights)
+    want, *_ = np.linalg.lstsq(unit.T * w[:, None], F.values * w, rcond=None)
+    bound = (n + m + np.log2(len(F.values))) * np.finfo(float).eps * cond
+    assert np.linalg.norm(lam * scale - want) <= bound * np.linalg.norm(want)
+
+
+def test_small_first_coordinate_needs_no_refinement():
+    """The fit keeps the far point of a generator with a small first coordinate.
+
+    On exact (5, 4) rank-3 tensors whose first generator has u_0 = 1e-3, that
+    point has norm ~1e3, so its raw design column is ~1e12 times larger than
+    the others; on normalized points none is cut.
+    """
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        U[0, 0] = 1e-3
+        F = SymTensor(5, 4, monomial_values(U, 4).sum(axis=0))
+        res = approx_sym(F, 3, refine=False, seed=seed)
+        assert res.residual_gp <= 1e-8 * F.norm(), seed
+
+
+@pytest.mark.parametrize("seed", [4253377796, 466621082])
+def test_benchmark_instances_with_small_first_coordinate(seed):
+    """Two exact (15, 4, 10) instances whose unnormalized fit dropped a needed term."""
+    F, _, _ = gen_random_sym(15, 4, 10, 0.0, seed)
+    res = approx_sym(F, 10, refine=False, seed=seed)
+    assert res.residual_gp <= 1e-8 * F.norm()
+
+
 def test_fitted_values_are_the_reconstruction():
     F, _, _ = gen_random_sym(5, 3, 2, 0.01, seed=3)
     res = approx_sym(F, 2, refine=False)
-    lam, values = solve_coefficients(F, res.points)
+    lam, values, _ = solve_coefficients(F, res.points)
     assert np.array_equal(lam, res.coefficients)
     assert np.array_equal(values, res.X_gp.values)
     assert np.array_equal(values, reconstruct_sym(res.points, lam, F.n, F.m).values)
