@@ -19,7 +19,6 @@ from .nonsymapprox import approx_nonsym
 from .rank import spectrum_ns, spectrum_sym
 from .symapprox import approx_sym
 from .tensorio import read_tensor, render_report, write_report, write_tensor
-from .tensors import DenseTensor, SymTensor
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -43,79 +42,60 @@ def _emit_report(path, meta, sections):
         write_report(path, meta, sections)
 
 
-def _cmd_approx_sym(args) -> int:
-    F = read_tensor(args.file)
-    if not isinstance(F, SymTensor):
+def _meta(F) -> dict:
+    return {"kind": F.kind, "order": F.order, "dims": F.dims}
+
+
+def _solve_sym(F, args):
+    """approx-sym's solve, its [result] extras and one report block per term."""
+    if F.kind != "sym":
         raise ValueError("approx-sym requires a symmetric tensor file")
     res = approx_sym(F, args.rank, refine=not args.no_refine, seed=args.seed)
-    meta = {
-        "kind": "sym",
-        "order": F.m,
-        "dims": (F.n,) * F.m,
-        "rank": args.rank,
-        "seed": args.seed,
-    }
-    result = {
-        "residual_gp": res.residual_gp,
-        "refined": res.refined,
-        "fit_cond": res.diagnostics["fit_cond"],
-        "xi_seed": res.diagnostics.get("xi_seed", args.seed),
-    }
+    blocks = [{"point": p, "coefficient": [c]} for p, c in zip(res.points, res.coefficients)]
     if res.refined:
-        result["residual_opt"] = res.residual_opt
-    sections = {"result": result}
-    for s in range(res.rank):
-        block = {"point": res.points[s], "coefficient": [res.coefficients[s]]}
-        if res.refined:
-            block["u_opt"] = res.u_opt[s]
-        sections[f"term{s}"] = block
-    _emit_report(args.output, meta, sections)
-    return EXIT_OK
+        for block, u in zip(blocks, res.u_opt):
+            block["u_opt"] = u
+    return res, {"fit_cond": res.diagnostics["fit_cond"]}, blocks
 
 
-def _cmd_approx_ns(args) -> int:
-    F = read_tensor(args.file)
-    if not isinstance(F, DenseTensor) or F.order < 3:
+def _solve_dense(F, args):
+    """As `_solve_sym`; `mode*` holds the refined vectors and `gp_mode*` the unrefined ones."""
+    if F.kind != "dense" or F.order < 3:
         raise ValueError("approx-ns requires a dense tensor file of order >= 3")
     res = approx_nonsym(F, args.rank, refine=not args.no_refine, seed=args.seed)
-    meta = {
-        "kind": "dense",
-        "order": F.order,
-        "dims": F.dims,
-        "rank": args.rank,
-        "seed": args.seed,
-    }
+    tuples = res.tuples_opt if res.refined else res.tuples
+    blocks = [{f"mode{t + 1}": v for t, v in enumerate(tup)} for tup in tuples]
+    if res.refined:
+        for block, tup in zip(blocks, res.tuples):
+            block.update({f"gp_mode{t + 1}": v for t, v in enumerate(tup)})
+    return res, {"mode_permutation": tuple(p + 1 for p in res.mode_permutation)}, blocks
+
+
+def _cmd_approx(args) -> int:
+    F = read_tensor(args.file)
+    res, extras, blocks = args.solve(F, args)
     result = {
         "residual_gp": res.residual_gp,
         "refined": res.refined,
-        "xi_seed": res.diagnostics.get("xi_seed", args.seed),
-        "mode_permutation": tuple(p + 1 for p in res.mode_permutation),
+        "xi_seed": res.diagnostics["xi_seed"],
+        **extras,
     }
     if res.refined:
         result["residual_opt"] = res.residual_opt
-    sections = {"result": result}
-    tuples = res.tuples_opt if res.refined else res.tuples
-    for s in range(res.rank):
-        block = {f"mode{t + 1}": tuples[s][t] for t in range(F.order)}
-        if res.refined:
-            for t in range(F.order):
-                block[f"gp_mode{t + 1}"] = res.tuples[s][t]
-        sections[f"term{s}"] = block
-    _emit_report(args.output, meta, sections)
+    sections = {"result": result, **{f"term{s}": block for s, block in enumerate(blocks)}}
+    _emit_report(args.output, {**_meta(F), "rank": args.rank, "seed": args.seed}, sections)
     return EXIT_OK
 
 
 def _cmd_rank_est(args) -> int:
     F = read_tensor(args.file)
-    if isinstance(F, SymTensor):
+    if F.kind == "sym":
         if args.split:
             raise ValueError("--split applies only to dense tensors")
         spec = spectrum_sym(F)
-        meta = {"kind": "sym", "order": F.m, "dims": (F.n,) * F.m}
     else:
         split = _parse_split(args.split) if args.split else None
         spec = spectrum_ns(F, split=split)
-        meta = {"kind": "dense", "order": F.order, "dims": F.dims}
     sections = {
         "spectrum": {
             "singular_values": [complex(v) for v in spec.singular_values],
@@ -124,7 +104,7 @@ def _cmd_rank_est(args) -> int:
             "summary": spec.describe(),
         }
     }
-    _emit_report(args.output, meta, sections)
+    _emit_report(args.output, _meta(F), sections)
     return EXIT_OK
 
 
@@ -171,21 +151,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    for name, kind, solve in (
+        ("approx-sym", "symmetric", _solve_sym),
+        ("approx-ns", "nonsymmetric", _solve_dense),
+    ):
+        sp = sub.add_parser(name, help=f"{kind} rank-r approximation")
+        sp.add_argument("--rank", type=int, required=True)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--no-refine", action="store_true")
         sp.add_argument("-o", "--output", default=None, help="report file (default: stdout)")
         sp.add_argument("file")
-
-    sp = sub.add_parser("approx-sym", help="symmetric rank-r approximation")
-    sp.add_argument("--rank", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_approx_sym)
-
-    sp = sub.add_parser("approx-ns", help="nonsymmetric rank-r approximation")
-    sp.add_argument("--rank", type=int, required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_approx_ns)
+        sp.set_defaults(func=_cmd_approx, solve=solve)
 
     sp = sub.add_parser("rank-est", help="suggest a rank from a flattening spectrum")
     sp.add_argument("--split", default=None, help="mode bipartition, e.g. 1,2|3")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generate import gen_random_ns, gen_random_sym
+from .generate import check_eps, gen_random_ns, gen_random_sym
 from .linalg import NumericalError
 from .nonsymapprox import approx_nonsym, check_shape_ns
 from .symapprox import approx_sym, check_shape_sym
@@ -43,8 +43,7 @@ class InstanceSpec:
             check_shape_sym(*self.dims, self.rank)
         else:
             check_shape_ns(self.dims, self.rank)
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        check_eps(self.eps)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -99,11 +98,10 @@ def _run_trial(spec: InstanceSpec, trial_seed: int) -> TrialResult:
             n, m = spec.dims
             F, R, E = gen_random_sym(n, m, spec.rank, spec.eps, trial_seed)
             res = approx_sym(F, spec.rank, refine=True, seed=trial_seed)
-            X = res.X_opt if res.refined else res.X_gp
         else:
             F, R, E = gen_random_ns(spec.dims, spec.rank, spec.eps, trial_seed)
             res = approx_nonsym(F, spec.rank, refine=True, seed=trial_seed)
-            X = res.X_opt if res.refined else res.X_gp
+        X = res.X_opt if res.refined else res.X_gp
         wall = time.perf_counter() - t0
         if spec.eps > 0:
             rel = relerr(F, X, E)

@@ -3,15 +3,23 @@ named function-sampled tensors used by the benchmark suite."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
 
-__all__ = ["gen_random_sym", "gen_random_ns", "named_tensor", "NAMED_TENSORS"]
+__all__ = ["check_eps", "gen_random_sym", "gen_random_ns", "named_tensor", "NAMED_TENSORS"]
 
 
 def _random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless eps is finite and >= 0; a NaN would pass `eps < 0`."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
 
 
 def gen_random_sym(n: int, m: int, r: int, eps: float = 0.0, seed: int = 0):
@@ -23,8 +31,7 @@ def gen_random_sym(n: int, m: int, r: int, eps: float = 0.0, seed: int = 0):
     """
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    check_eps(eps)
     rng = np.random.default_rng(seed)
     U = _random_complex(rng, r, n)
     R = SymTensor(n, m, monomial_values(U, m).sum(axis=0))
@@ -45,8 +52,7 @@ def gen_random_ns(dims, r: int, eps: float = 0.0, seed: int = 0):
     dims = tuple(int(d) for d in dims)
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    check_eps(eps)
     if len(dims) < 3:
         raise ValueError("need order >= 3")
     rng = np.random.default_rng(seed)

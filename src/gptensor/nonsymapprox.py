@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg.blas
 
 from .linalg import joint_points, lstsq_min_norm, positive_combination, schur
-from .refine import refine_if_helps, refine_nonsym
+from .refine import ApproxResult, refine_if_helps, refine_nonsym
 from .tensors import DenseTensor, khatri_rao
 
 __all__ = [
@@ -57,22 +57,11 @@ class NsGenMatrix:
     column_residuals: dict[int, np.ndarray] = field(default=None)
 
 
-@dataclass
-class NsApproxResult:
-    rank: int
+@dataclass(kw_only=True)
+class NsApproxResult(ApproxResult):
     tuples: list  # r tuples of m vectors each, original mode order
-    X_gp: DenseTensor
-    residual_gp: float
     mode_permutation: tuple[int, ...]
-    refined: bool = False
     tuples_opt: list | None = None
-    X_opt: DenseTensor | None = None
-    residual_opt: float | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def best_residual(self) -> float:
-        return self.residual_opt if self.refined else self.residual_gp
 
 
 def _check_mode_rows(dims, r: int) -> None:

@@ -17,6 +17,7 @@ residual maps remain as references for tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -25,6 +26,7 @@ from .monomials import grlex_position, power_table
 from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
 
 __all__ = [
+    "ApproxResult",
     "levenberg_marquardt",
     "sym_residual_map",
     "ns_residual_map",
@@ -314,6 +316,27 @@ def refine_nonsym(F: DenseTensor, tuples):
     c0 = np.concatenate([np.concatenate(_balanced(tup)) for tup in tuples])
     c_opt, res_opt, _ = levenberg_marquardt(c0, residual, ns_normal_map(F, r))
     return unpack(c_opt), res_opt
+
+
+@dataclass(kw_only=True)
+class ApproxResult:
+    """Fields that both tensor kinds report, all keyword-only.
+
+    `refined` says whether `refine_if_helps` kept a polish of the fit
+    (`X_gp`, `residual_gp`); `X_opt` and `residual_opt` then hold the polish.
+    """
+
+    rank: int
+    X_gp: SymTensor | DenseTensor
+    residual_gp: float
+    refined: bool = False
+    X_opt: SymTensor | DenseTensor | None = None
+    residual_opt: float | None = None
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def best_residual(self) -> float:
+        return self.residual_opt if self.refined else self.residual_gp
 
 
 def refine_if_helps(refine_fn, F, start, residual_gp: float):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import joint_points, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, monomials_upto, power_table
-from .refine import refine_if_helps, refine_sym
+from .refine import ApproxResult, refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
 
 __all__ = [
@@ -100,23 +100,12 @@ class SymGenMatrix:
     column_residuals: np.ndarray = field(default=None)
 
 
-@dataclass
-class SymApproxResult:
-    rank: int
+@dataclass(kw_only=True)
+class SymApproxResult(ApproxResult):
     points: np.ndarray  # (r, n), first coordinate 1
     coefficients: np.ndarray  # (r,)
     u_ls: np.ndarray  # (r, n): lambda^(1/m) scaled points
-    X_gp: SymTensor
-    residual_gp: float
-    refined: bool = False
     u_opt: np.ndarray | None = None
-    X_opt: SymTensor | None = None
-    residual_opt: float | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def best_residual(self) -> float:
-        return self.residual_opt if self.refined else self.residual_gp
 
 
 @lru_cache(maxsize=None)

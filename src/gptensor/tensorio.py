@@ -46,15 +46,15 @@ def _fmt(x: float) -> str:
 def write_tensor(t, path) -> None:
     """Write a tensor file; symmetric tensors use compact power-vector lines."""
     if isinstance(t, SymTensor):
-        kind, dims, rows, values = "sym", (t.n,) * t.m, t.powers, t.values
+        rows, values = t.powers, t.values
     elif isinstance(t, DenseTensor):
         # 1-based multi-indices in row-major order, generated as the lines are written
         rows = itertools.product(*(range(1, d + 1) for d in t.dims))
-        kind, dims, values = "dense", t.dims, t.data.ravel()
+        values = t.data.ravel()
     else:
         raise TypeError(f"cannot serialize {type(t).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"TENSOR v1 {kind} order={len(dims)} dims={','.join(map(str, dims))}\n")
+        fh.write(f"TENSOR v1 {t.kind} order={t.order} dims={','.join(map(str, t.dims))}\n")
         fh.writelines(
             " ".join([*map(str, row), _fmt(v.real), _fmt(v.imag)]) + "\n"
             for row, v in zip(rows, values)

@@ -29,6 +29,7 @@ __all__ = [
 class DenseTensor:
     """Order-m complex tensor with explicit dimensions, row-major storage."""
 
+    kind = "dense"
     data: np.ndarray
 
     def __post_init__(self):
@@ -77,6 +78,8 @@ class DenseTensor:
 class SymTensor:
     """Symmetric order-m tensor over C^n, stored one entry per power vector."""
 
+    kind = "sym"
+
     def __init__(self, n: int, m: int, values: np.ndarray):
         if n < 1 or m < 1:
             raise ValueError(f"invalid (n, m) = ({n}, {m})")
@@ -92,6 +95,14 @@ class SymTensor:
             )
         if not np.isfinite(self.values).all():
             raise ValueError("tensor entries must be finite")
+
+    @property
+    def order(self) -> int:
+        return self.m
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return (self.n,) * self.m
 
     @classmethod
     def zeros(cls, n: int, m: int) -> "SymTensor":

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptensor import experiments, tensorio
+from gptensor import cli, experiments, tensorio
 from gptensor.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.monomials import grlex_position
@@ -421,12 +421,19 @@ class TestCli:
         assert main(["approx-sym", "--rank", "2", "--seed", "1", tns, "-o", rep]) == EXIT_OK
         report = parse_report(rep)
         F = read_tensor(tns)
+        assert report["meta"] == {"kind": "sym", "order": 3, "dims": (6, 6, 6), "rank": 2, "seed": 1}
         terms = [report[f"term{s}"] for s in range(2)]
         pts = np.array([t["point"] for t in terms])
         lam = np.array([t["coefficient"][0] for t in terms])
         X = reconstruct_sym(pts, lam, F.n, F.m)
         recomputed = (F - X).norm()
-        assert abs(recomputed - report["result"]["residual_gp"]) <= 1e-10
+        assert abs(recomputed - report["result"]["residual_gp"]) <= 1e-15
+        # this input is refined: u_opt holds the polished scaled vectors
+        assert report["result"]["refined"] is True
+        X = reconstruct_sym(np.array([t["u_opt"] for t in terms]), np.ones(2), F.n, F.m)
+        assert abs((F - X).norm() - report["result"]["residual_opt"]) <= 1e-15
+        assert main(["rank-est", tns, "-o", rep]) == EXIT_OK
+        assert parse_report(rep)["meta"] == {"kind": "sym", "order": 3, "dims": (6, 6, 6)}
 
     def test_gen_approx_ns_roundtrip(self, tmp_path):
         tns = str(tmp_path / "t.tns")
@@ -441,6 +448,38 @@ class TestCli:
         recomputed = (F - X).norm()
         key = "residual_opt" if report["result"]["refined"] else "residual_gp"
         assert abs(recomputed - report["result"][key]) <= 1e-10
+        # a noisy input is refined: mode* holds the polished vectors, gp_mode* the unrefined ones
+        assert main(["gen", "--kind", "ns", "--dims", "5,4,3", "--rank", "2", "--eps", "0.05",
+                     "--seed", "2", "-o", tns]) == EXIT_OK
+        assert main(["approx-ns", "--rank", "2", tns, "-o", rep]) == EXIT_OK
+        report = parse_report(rep)
+        F = read_tensor(tns)
+        assert report["meta"] == {"kind": "dense", "order": 3, "dims": (5, 4, 3), "rank": 2, "seed": 0}
+        assert report["result"]["refined"] is True
+        for prefix, key in (("mode", "residual_opt"), ("gp_mode", "residual_gp")):
+            terms = [report[f"term{s}"] for s in range(2)]
+            X = reconstruct_ns([[term[f"{prefix}{t}"] for t in (1, 2, 3)] for term in terms])
+            assert abs((F - X).norm() - report["result"][key]) <= 1e-15
+        assert main(["rank-est", tns, "-o", rep]) == EXIT_OK
+        assert parse_report(rep)["meta"] == {"kind": "dense", "order": 3, "dims": (5, 4, 3)}
+
+    def test_approx_commands_look_up_the_solvers_at_call_time(self, tmp_path, monkeypatch):
+        # tracing a CLI run patches `cli.approx_sym` and `cli.approx_nonsym`, so each
+        # subcommand must reach its solver through the module attribute when it runs
+        sym, dense, rep = (str(tmp_path / name) for name in ("s.tns", "d.tns", "t.rep"))
+        main(["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2", "-o", sym])
+        main(["gen", "--kind", "ns", "--dims", "4,4,4", "--rank", "2", "-o", dense])
+        calls = []
+        for name in ("approx_sym", "approx_nonsym"):
+            def counting(*args, _name=name, _solve=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counting)
+        assert main(["approx-sym", "--rank", "2", sym, "-o", rep]) == EXIT_OK
+        assert calls == ["approx_sym"]
+        assert main(["approx-ns", "--rank", "2", dense, "-o", rep]) == EXIT_OK
+        assert calls == ["approx_sym", "approx_nonsym"]
 
     def test_paper_tensor_and_rank_est(self, tmp_path, capsys):
         tns = str(tmp_path / "c.tns")
@@ -459,7 +498,7 @@ class TestCli:
         assert report["result"]["refined"] is False
         assert "residual_opt" not in report["result"]
 
-    def test_precondition_exit_codes(self, tmp_path):
+    def test_precondition_exit_codes(self, tmp_path, capsys):
         tns = str(tmp_path / "t.tns")
         main(["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2", "-o", tns])
         ns = str(tmp_path / "g.tns")
@@ -487,6 +526,12 @@ class TestCli:
         assert main(["approx-ns", "--rank", "2", "-o", folder, ns]) == EXIT_PRECONDITION
         gen_sym = ["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2"]
         assert main([*gen_sym, "-o", folder]) == EXIT_PRECONDITION
+        # a noise norm that is not a finite number >= 0, for either kind
+        gen_ns = ["gen", "--kind", "ns", "--dims", "3,3,3", "--rank", "1"]
+        for gen in (gen_sym, gen_ns):
+            for eps in ("nan", "inf", "-1"):
+                assert main([*gen, "--eps", eps, "-o", tns]) == EXIT_PRECONDITION
+                assert "eps must be finite and nonnegative" in capsys.readouterr().err
 
     def test_dimension_one_sym_file(self, tmp_path, capsys):
         tns = tmp_path / "one.tns"

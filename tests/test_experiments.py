@@ -46,8 +46,9 @@ class TestSpecValidation:
             InstanceSpec("other", (4, 3), 2)
 
     def test_bad_eps_and_trials(self):
-        with pytest.raises(ValueError):
-            InstanceSpec("sym", (4, 3), 2, eps=-0.1)
+        for eps in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+                InstanceSpec("sym", (4, 3), 2, eps=eps)
         with pytest.raises(ValueError):
             InstanceSpec("sym", (4, 3), 2, trials=0)
 

@@ -39,8 +39,9 @@ class TestRandomSym:
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_random_sym(5, 3, 0)
-        with pytest.raises(ValueError):
-            gen_random_sym(5, 3, 2, eps=-1.0)
+        for eps in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+                gen_random_sym(5, 3, 2, eps=eps)
 
 
 class TestRandomNs:
@@ -72,6 +73,9 @@ class TestRandomNs:
             gen_random_ns((4, 3), 2)
         with pytest.raises(ValueError):
             gen_random_ns((4, 3, 3), 0)
+        for eps in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+                gen_random_ns((4, 3, 3), 2, eps=eps)
 
 
 class TestNamedTensors:

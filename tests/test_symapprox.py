@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gptensor import symapprox
-from gptensor.generate import gen_random_sym, named_tensor
+from gptensor.generate import gen_random_ns, gen_random_sym, named_tensor
 from gptensor.linalg import lstsq_min_norm
 from gptensor.monomials import monomials_upto, multiplicities
+from gptensor.nonsymapprox import approx_nonsym
 from gptensor.symapprox import (
     approx_sym,
     assemble_system,
@@ -175,12 +176,22 @@ class TestPipeline:
             col = monomial_values(v, F.m)
             assert abs(np.sum(F.weights * col.conj() * diff)) <= 1e-8 * F.norm()
 
-    def test_refinement_improves_or_keeps(self):
-        F = named_tensor("recip3")
-        res = approx_sym(F, 2, refine=True)
-        assert res.refined
-        assert res.residual_opt <= res.residual_gp + 1e-12
-        assert res.best_residual == res.residual_opt
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("kind", ["sym", "dense"])
+    def test_refinement_improves_or_keeps(self, kind, refine):
+        # best_residual is a property of the shared result base, so both kinds check it
+        if kind == "sym":
+            res = approx_sym(named_tensor("recip3"), 2, refine=refine)
+        else:
+            F, _, _ = gen_random_ns((5, 4, 3), 2, 0.05, seed=2)
+            res = approx_nonsym(F, 2, refine=refine)
+        assert res.refined == refine
+        if refine:
+            assert res.residual_opt <= res.residual_gp + 1e-12
+            assert res.best_residual == res.residual_opt
+        else:
+            assert res.residual_opt is None
+            assert res.best_residual == res.residual_gp
 
     def test_exact_skips_refinement(self):
         F, _, _ = gen_random_sym(5, 3, 2, 0.0, seed=8)
