@@ -44,6 +44,8 @@ class InstanceSpec:
         else:
             check_shape_ns(self.dims, self.rank)
         check_eps(self.eps)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

@@ -18,6 +18,7 @@ __all__ = [
     "svd",
     "schur",
     "positive_combination",
+    "draw_weights",
     "joint_eigenvalues",
     "joint_points",
     "NumericalError",
@@ -116,6 +117,12 @@ def positive_combination(mats: np.ndarray, xi) -> np.ndarray:
     if xi.shape != mats.shape[:1] or np.any(xi <= 0) or abs(xi.sum() - 1.0) > 1e-9:
         raise ValueError(f"xi must be {mats.shape[0]} strictly positive weights summing to 1")
     return np.tensordot(xi, mats, axes=1)
+
+
+def draw_weights(rng, K: int) -> np.ndarray:
+    """K uniform draws from `rng`, normalized to sum to 1: the weights of `positive_combination`."""
+    w = rng.uniform(size=K)
+    return w / w.sum()
 
 
 def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):

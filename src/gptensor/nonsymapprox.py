@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg.blas
 
-from .linalg import joint_points, lstsq_min_norm, positive_combination, schur
+from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
 from .refine import ApproxResult, refine_if_helps, refine_nonsym
 from .tensors import DenseTensor, khatri_rao
 
@@ -82,16 +82,17 @@ def _check_mode_rows(dims, r: int) -> None:
 def check_shape_ns(dims, r: int) -> None:
     """Raise ValueError unless `approx_nonsym` can fit rank r to a tensor of these dims.
 
-    It needs order >= 3, r in 1..max(dims), every mode of dimension >= 2, and at
+    It needs order >= 3, every mode of dimension >= 2, r in 1..max(dims), and at
     least r rows in the system of every mode once the largest mode is first.
     """
     dims = tuple(dims)
     if len(dims) < 3:
         raise ValueError("nonsymmetric pipeline needs order >= 3")
+    for j, n in enumerate(dims, 1):
+        if n < 2:
+            raise ValueError(f"mode {j} has dimension {n}; every mode needs >= 2")
     if not 1 <= r <= max(dims):
         raise ValueError(f"rank must be in 1..{max(dims)} (the largest dimension), got {r}")
-    if 1 in dims:
-        raise ValueError(f"mode {dims.index(1) + 1} has dimension 1; every mode needs >= 2")
     first = int(np.argmax(dims))
     _check_mode_rows((dims[first],) + dims[:first] + dims[first + 1 :], r)
 
@@ -189,20 +190,15 @@ def build_mjk(gm: NsGenMatrix, j: int, k: int) -> np.ndarray:
     return block[:, :, k - 1].T  # rows i, columns ell
 
 
-def _pairs(dims) -> list:
-    """The (j, k) index set of the matrices M_{j,k}, j = 2..m, k = 1..n_j - 1."""
-    return [(j, k) for j in range(2, len(dims) + 1) for k in range(1, dims[j - 1])]
-
-
 def extract_modes(gm: NsGenMatrix, xi: np.ndarray):
     """Mode-2..m factor matrices of the rank-1 terms from one Schur decomposition.
 
-    `xi` holds one strictly positive weight per (j, k) pair in `_pairs`
-    order, the weights summing to 1.  Returns (factors, diagnostics) where
-    factors[j - 2] (j = 2..m) is the (n_j, r) matrix whose column s is the
-    mode-j vector of term s, with leading entry 1.
+    `xi` holds one strictly positive weight per matrix M_{j,k}, in (j, k)
+    order (j = 2..m, k = 1..n_j - 1), the weights summing to 1.  Returns
+    (factors, diagnostics) where factors[j - 2] (j = 2..m) is the (n_j, r)
+    matrix whose column s is the mode-j vector of term s, with leading entry 1.
     """
-    mats = np.stack([build_mjk(gm, j, k) for (j, k) in _pairs(gm.dims)])
+    mats = np.stack([build_mjk(gm, j, k) for j, n in enumerate(gm.dims[1:], 2) for k in range(1, n)])
     sizes = [n - 1 for n in gm.dims[1:]]
     blocks, diagnostics = joint_points(mats, schur(positive_combination(mats, xi)), sizes)
     return [b.T for b in blocks], diagnostics
@@ -246,8 +242,8 @@ def rank1_closed_form_ns(F: DenseTensor):
 
 
 def _draw_xi(dims, rng) -> np.ndarray:
-    w = rng.uniform(size=len(_pairs(dims)))
-    return w / w.sum()
+    """The weights of `extract_modes` for a core of these dims: one per M_{j,k}."""
+    return draw_weights(rng, sum(n - 1 for n in dims[1:]))
 
 
 def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) -> NsApproxResult:
@@ -260,12 +256,10 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     """
     check_shape_ns(F.dims, r)
     Fp, perm = mode_permute(F)
-    rng = np.random.default_rng(seed)
 
     P, C, bases = truncated_core(Fp, r)
     gm = solve_generating_matrix_ns(C, r)
-    xi = _draw_xi(C.dims, rng)
-    W, diagnostics = extract_modes(gm, xi)
+    W, diagnostics = extract_modes(gm, _draw_xi(C.dims, np.random.default_rng(seed)))
     # U_2 (x) ... (x) U_m has orthonormal columns, so the fit on P is the fit on Fp
     modes = [w if U is None else U @ w for U, w in zip(bases[1:], W)]
     permuted = [solve_first_mode(P, W).T, *modes]

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import joint_points, lstsq_min_norm, positive_combination, schur
+from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, monomials_upto, power_table
 from .refine import ApproxResult, refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
@@ -131,12 +131,14 @@ def build_bases(n: int, r: int) -> MonomialBasisPair:
 def check_shape_sym(n: int, m: int, r: int) -> None:
     """Raise ValueError unless `approx_sym` can fit rank r to a symmetric (n, m) tensor.
 
-    It needs order m >= 2, r in 1..C(n-1+m, m), n >= 2, shift monomials of
+    It needs order m >= 2, n >= 2, r in 1..C(n-1+m, m), shift monomials of
     degree <= m, and at least r rows in the system of every shift degree d:
     one row per monomial of degree <= m - d in the n - 1 variables.
     """
     if m < 2:
         raise ValueError("approximation needs order >= 2")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
     nmon = math.comb(n - 1 + m, m)
     if not 1 <= r <= nmon:
         raise ValueError(f"rank must be in 1..{nmon}, got {r}")
@@ -297,12 +299,8 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
     worsen the residual (see `refine.refine_if_helps`).
     """
     check_shape_sym(F.n, F.m, r)
-    rng = np.random.default_rng(seed)
-
     gm = solve_generating_matrix(F, r)
-    xi = rng.uniform(size=F.nbar)
-    xi /= xi.sum()
-    points, diagnostics = extract_points(gm, xi)
+    points, diagnostics = extract_points(gm, draw_weights(np.random.default_rng(seed), F.nbar))
     lam, fitted, fit_cond = solve_coefficients(F, points)
     X_gp = SymTensor(F.n, F.m, fitted)
     residual_gp = (F - X_gp).norm()

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -26,5 +28,9 @@ def test_readme_entry_points_resolve():
 
 def test_all_names_resolve():
     assert [n for n in gptensor.__all__ if not hasattr(gptensor, n)] == []
+    # every module's export list too: a deleted helper left in one fails here
+    for info in pkgutil.iter_modules(gptensor.__path__):
+        module = importlib.import_module(f"gptensor.{info.name}")
+        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == [], info.name
     # the public API is README's table: a new export needs a README row
     assert set(gptensor.__all__) == entry_point_names()

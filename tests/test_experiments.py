@@ -15,8 +15,8 @@ from gptensor.experiments import (
 )
 from gptensor.generate import gen_random_sym
 from gptensor.linalg import NumericalError
-from gptensor.nonsymapprox import approx_nonsym
-from gptensor.symapprox import approx_sym
+from gptensor.nonsymapprox import approx_nonsym, check_shape_ns
+from gptensor.symapprox import approx_sym, check_shape_sym
 from gptensor.tensors import DenseTensor, SymTensor
 
 
@@ -91,6 +91,26 @@ class TestSpecValidation:
             InstanceSpec("sym", dims, rank)
         with pytest.raises(ValueError, match=message):
             approx_sym(SymTensor(n, m, np.arange(1.0, math.comb(n - 1 + m, m) + 1)), rank)
+
+    @pytest.mark.parametrize("dims,mode", [((5, 0, 3), 2), ((5, -4, 3), 2), ((0, 4, 3), 1), ((5, 4, 3, -1), 4)])
+    def test_nonpositive_nonsym_dimension_rejected(self, dims, mode):
+        message = f"mode {mode} has dimension {dims[mode - 1]}; every mode needs >= 2"
+        with pytest.raises(ValueError, match=message):
+            check_shape_ns(dims, 2)
+        with pytest.raises(ValueError, match=message):
+            InstanceSpec("nonsym", dims, 2)
+
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_nonpositive_sym_dimension_rejected(self, n):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            check_shape_sym(n, 3, 2)
+        with pytest.raises(ValueError, match="need n >= 2"):
+            InstanceSpec("sym", (n, 3), 2)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            InstanceSpec("sym", (5, 3), 2, seed=-1)
+        assert InstanceSpec("sym", (5, 3), 2, seed=0).seed == 0
 
 
 class TestRunExperiment:

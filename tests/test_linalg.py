@@ -5,6 +5,7 @@ import scipy.linalg
 from gptensor.linalg import (
     DEFAULT_RCOND,
     NumericalError,
+    draw_weights,
     joint_eigenvalues,
     lstsq_min_norm,
     positive_combination,
@@ -228,6 +229,13 @@ class TestJointEigenvalues:
             positive_combination(Ms[0], [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             positive_combination(np.zeros((2, 3, 4)), [0.5, 0.5])
+
+    def test_draw_weights_are_normalized_uniform_draws(self):
+        xi = draw_weights(np.random.default_rng(9), 6)
+        w = np.random.default_rng(9).uniform(size=6)
+        assert np.array_equal(xi, w / w.sum())
+        # accepted by positive_combination: positive and summing to 1
+        assert positive_combination(np.ones((6, 2, 2)), xi) == pytest.approx(np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (3, 7), (1, 1)])

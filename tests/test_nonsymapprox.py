@@ -5,6 +5,7 @@ import pytest
 
 from gptensor import nonsymapprox
 from gptensor.generate import gen_random_ns, named_tensor
+from gptensor.linalg import joint_points, lstsq_min_norm
 from gptensor.nonsymapprox import (
     approx_nonsym,
     assemble_system_ns,
@@ -18,6 +19,18 @@ from gptensor.nonsymapprox import (
     truncated_core,
 )
 from gptensor.tensors import DenseTensor, khatri_rao, outer_product
+
+
+def spy_on_joint_points(monkeypatch):
+    """Record the matrix stack of every `joint_points` call that `nonsymapprox` makes."""
+    seen = []
+
+    def spy(mats, pair, sizes):
+        seen.append(mats)
+        return joint_points(mats, pair, sizes)
+
+    monkeypatch.setattr(nonsymapprox, "joint_points", spy)
+    return seen
 
 
 class TestModePermute:
@@ -117,6 +130,24 @@ class TestExtraction:
             assert np.all(a[0] == 1.0)
         assert diag["commutator"] <= 1e-8
         assert not diag["low_confidence"]
+
+    @pytest.mark.parametrize("dims", [(5, 4, 3), (4, 5, 3, 3)])
+    def test_stack_is_the_per_mode_least_squares(self, monkeypatch, dims):
+        # M_{j,k}[i, ell] is entry ell of the least-squares solution for the right-hand
+        # side (i, k) of mode j, and the stack runs over (j, k) in order
+        F, _, _ = gen_random_ns(dims, 2, 1e-2, seed=6)
+        gm = solve_generating_matrix_ns(F, 2)
+        seen = spy_on_joint_points(monkeypatch)
+        K = sum(n - 1 for n in dims[1:])
+        extract_modes(gm, np.full(K, 1 / K))
+        (mats,) = seen
+        expected = []
+        for j in range(2, len(dims) + 1):
+            A, B = assemble_system_ns(F, j, 2)
+            for k in range(1, dims[j - 1]):
+                expected.append([lstsq_min_norm(A, B[i, k - 1]) for i in range(2)])
+        assert mats.shape == (K, 2, 2)
+        assert np.allclose(mats, expected, rtol=0, atol=1e-12 * np.abs(mats).max())
 
 
 class TestPipeline:
@@ -243,9 +274,12 @@ class TestCore:
             return build_mjk(*args)
 
         monkeypatch.setattr(nonsymapprox, "build_mjk", counted)
+        seen = spy_on_joint_points(monkeypatch)
         F, _, _ = gen_random_ns(dims, r, 0.0, seed=15)
         approx_nonsym(F, r, refine=False, seed=15)
         assert len(count) == calls
+        # and stage ii gets them as one stack
+        assert [len(mats) for mats in seen] == [calls]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_noisy_residual_near_the_perturbation(self, seed):
