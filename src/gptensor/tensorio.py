@@ -19,6 +19,8 @@ import cmath
 import itertools
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 
@@ -33,6 +35,10 @@ __all__ = [
     "parse_report",
     "FormatError",
 ]
+
+
+# bytes per read of the scan that decides whether numpy may read a tensor file
+_SCAN_BYTES = 1 << 20
 
 
 class FormatError(ValueError):
@@ -95,54 +101,93 @@ def _parse_entry(ln: str, count: int, what: str):
     return ints, value
 
 
-def _entry_lines(fh):
-    """The stripped lines of an open tensor file, without blank and `#` comment lines."""
-    return (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
+def _find_header(fh):
+    """The stripped header line of an open tensor file and the number of physical lines through it."""
+    for skip, ln in enumerate(fh, 1):
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            return ln, skip
+    raise FormatError("empty tensor file")
 
 
-def _ascii(lines):
-    """Pass the lines on; raise ValueError at the first one that is not ASCII.
+def _numpy_readable(path) -> bool:
+    """Whether numpy's reader skips the same lines as the line loop and parses the rest alike.
 
-    numpy's integer parser reads some non-ASCII characters as digits, so such
-    lines are left to `_parse_entry`.
+    The file must be ASCII, since numpy's integer parser reads some non-ASCII
+    characters as digits, and every `#` must start a comment line, since
+    numpy also drops a `#` and the rest of its line after an entry.
     """
-    for ln in lines:
-        if not ln.isascii():
-            raise ValueError(f"non-ASCII entry line {ln!r}")
-        yield ln
+    lead_blank = True  # the bytes since the last line break are spaces and tabs only
+    with open(path, "rb") as fb:
+        while chunk := fb.read(_SCAN_BYTES):
+            if not chunk.isascii():
+                return False
+            i = chunk.find(b"#")
+            while i >= 0:
+                start = max(chunk.rfind(b"\n", 0, i), chunk.rfind(b"\r", 0, i)) + 1
+                if chunk[start:i].strip(b" \t") or not (start or lead_blank):
+                    return False
+                i = chunk.find(b"#", i + 1)
+            end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+            lead_blank = not chunk[end:].strip(b" \t") and (end > 0 or lead_blank)
+    return True
 
 
-def _parse_table(lines, count):
-    """Parse all entry lines in one pass: (int64 rows, complex values, {}), or None.
+def _loadtxt(path, skip, dtype, max_rows=None):
+    # numpy warns of an empty body, which is the zero tensor, and of each blank
+    # or comment line before `max_rows` rows, which it rightly does not count
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning)
+        return np.loadtxt(
+            path, dtype=dtype, comments="#", skiprows=skip, encoding="ascii", ndmin=1, max_rows=max_rows
+        )
 
-    None means that numpy rejected a line or read a non-finite value.  What
-    numpy accepts from ASCII lines Python's int and float accept too, with
-    the same values, so a file read here reads the same through the line loop.
+
+def _failed_row(exc: ValueError) -> int:
+    """The entry row that numpy's loadtxt error names (0 when it names none).
+
+    numpy counts rows from 0 in a conversion error and from 1 in a
+    column-count error; both count entry rows only.
     """
-    dtype = np.dtype([("i", np.int64, count), ("v", np.float64, 2)])
-    first = next(lines, None)
-    if first is None:  # loadtxt warns on an empty body
-        table = np.empty(0, dtype)
-    else:
-        try:
-            table = np.loadtxt(_ascii(itertools.chain([first], lines)), dtype=dtype, comments=None, ndmin=1)
-        except ValueError:
-            return None
-    if not np.isfinite(table["v"]).all():
-        return None
-    # a view of the (re, im) pairs, not re + 1j * im, which turns -0 parts into +0
-    return table["i"], np.ascontiguousarray(table["v"]).view(np.complex128).ravel(), {}
+    message = str(exc)
+    found = re.search(r" at row (\d+)", message)
+    if found is None:
+        return 0
+    row = int(found[1])
+    return row if message.startswith("could not convert") else max(row - 1, 0)
 
 
-def _parse_lines(fh, count, what):
-    """Parse the entry lines of an open tensor file one by one: (int64 rows, complex values, wide).
+def _parse_table(path, skip, dtype):
+    """Parse the entry lines after the first `skip` lines with numpy: (table, complete).
 
-    Reads the file again from its start and raises FormatError for the first
-    malformed line.  `wide` maps the rows holding an integer beyond int64 to
+    `table` holds the leading rows that numpy accepts and reads as finite;
+    `complete` says that these are all the rows.  What numpy accepts from
+    ASCII lines Python's int and float accept too, with the same values, so
+    these rows read the same through the line loop.
+    """
+    if not _numpy_readable(path):
+        return np.empty(0, dtype), False
+    try:
+        table, complete = _loadtxt(path, skip, dtype), True
+    except ValueError as exc:
+        k = _failed_row(exc)
+        table, complete = (_loadtxt(path, skip, dtype, max_rows=k) if k else np.empty(0, dtype)), False
+    finite = np.isfinite(table["v"]).all(axis=1)
+    if not finite.all():
+        table, complete = table[: finite.argmin()], False
+    return table, complete
+
+
+def _parse_lines(fh, start, count, what):
+    """Parse entry lines one by one: (int64 rows, complex values, wide).
+
+    Reads the open file on from its header, parses the entry lines from the
+    `start`-th on (counting from 0) and raises FormatError for the first
+    malformed one.  `wide` maps the rows holding an integer beyond int64 to
     their integers; their array row is 0.
     """
-    fh.seek(0)
-    lines = list(_entry_lines(fh))[1:]
+    entries = (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
+    lines = list(itertools.islice(entries, start, None))
     rows = np.empty((len(lines), count), dtype=np.int64)
     values = np.empty(len(lines), dtype=np.complex128)
     wide = {}
@@ -160,22 +205,29 @@ def read_tensor(path):
     """Parse a tensor file into a SymTensor or DenseTensor.
 
     Every entry line is a row of integers and a complex value; the two kinds
-    differ only in how a row maps to a storage position.  The entry lines are
-    parsed in one numpy pass; only when that pass fails does the line loop
-    run, to name the fault or to read syntax that only Python accepts.  Of
-    several faults the first malformed line is reported, then an
+    differ only in how a row maps to a storage position.  After one byte scan
+    of the file, numpy's reader parses the entry lines from the path; the
+    line loop parses only the rows from the first one numpy rejects or reads
+    as non-finite, to name the fault or to read syntax that only Python
+    accepts.  Of several faults the first malformed line is reported, then an
     out-of-range entry, then the first line that repeats an earlier entry.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = _entry_lines(fh)
-        header = next(lines, None)
-        if header is None:
-            raise FormatError("empty tensor file")
+        header, skip = _find_header(fh)
         kind, order, dims = _parse_header(header)
         if kind == "sym" and len(set(dims)) != 1:
             raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
         count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
-        rows, values, wide = _parse_table(lines, count) or _parse_lines(fh, count, what)
+        dtype = np.dtype([("i", np.int64, count), ("v", np.float64, 2)])
+        table, complete = _parse_table(path, skip, dtype)
+        rows = table["i"]
+        # a view of the (re, im) pairs, not re + 1j * im, which turns -0 parts into +0
+        values = np.ascontiguousarray(table["v"]).view(np.complex128).ravel()
+        wide = {}
+        if not complete:
+            more_rows, more_values, more_wide = _parse_lines(fh, len(table), count, what)
+            rows, values = np.concatenate([rows, more_rows]), np.concatenate([values, more_values])
+            wide = {len(table) + i: ints for i, ints in more_wide.items()}
     if kind == "sym":
         n, m = dims[0], order
         if wide:
@@ -187,14 +239,16 @@ def read_tensor(path):
             raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
         size, where = math.comb(n - 1 + m, m), "for power vector"
     else:
-        bad = ((rows < 1) | (rows > dims)).any(axis=1)
+        index = rows - 1
+        # one unsigned comparison: an index below 0 wraps past every dimension
+        bad = (index.view(np.uint64) >= np.array(dims, dtype=np.uint64)).any(axis=1)
         if bad.any():
             i = int(bad.argmax())
             raise FormatError(f"index {wide.get(i, tuple(rows[i].tolist()))} out of range for dims {dims}")
-        pos = np.ravel_multi_index(tuple((rows - 1).T), dims)
+        pos = np.ravel_multi_index(tuple(index.T), dims)
         size, where = math.prod(dims), "at index"
-    first = np.unique(pos, return_index=True)[1]
-    if len(first) < len(pos):
+    if np.bincount(pos, minlength=size).max() > 1:
+        first = np.unique(pos, return_index=True)[1]
         repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
         raise FormatError(f"duplicate entry {where} {tuple(rows[repeat].tolist())}")
     flat = np.zeros(size, dtype=np.complex128)

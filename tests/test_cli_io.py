@@ -101,7 +101,8 @@ _SEPARATORS = [" ", "  ", "\t", "\x0b", "\xa0", "\u2003"]
 
 @st.composite
 def tensor_texts(draw):
-    """Text of a small tensor file: a valid header and up to five body lines."""
+    """Text of a small tensor file: up to two blank or comment lines, a valid
+    header and up to five body lines, all ended by one of LF, CRLF and CR."""
     kind = draw(st.sampled_from(["sym", "dense"]))
     if kind == "sym":
         n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -113,9 +114,11 @@ def tensor_texts(draw):
     # other files draw separators freely and put at most one other token on a line
     clean = draw(st.booleans())
     seps = st.sampled_from(_SEPARATORS[:1] if clean else _SEPARATORS)
-    lines = [f"TENSOR v1 {kind} order={len(dims)} dims={','.join(map(str, dims))}"]
+    lead = st.sampled_from(["", " ", "\t "])  # before a comment's `#`
+    lines = draw(st.lists(st.sampled_from(["", "  ", "# note", " \t# TENSOR v1 sym order=1 dims=1"]), max_size=2))
+    lines.append(f"TENSOR v1 {kind} order={len(dims)} dims={','.join(map(str, dims))}")
     for _ in range(draw(st.integers(0, 5))):
-        shape = draw(st.sampled_from(["entry"] * 5 + ["blank", "comment", "short", "long"]))
+        shape = draw(st.sampled_from(["entry"] * 5 + ["blank", "comment", "short", "long", "trailing_comment"]))
         if shape == "blank":
             lines.append(draw(seps) if draw(st.booleans()) else "")
             continue
@@ -131,8 +134,12 @@ def tensor_texts(draw):
         line = draw(seps) * draw(st.integers(0, 1))
         for field in fields:
             line += field + draw(seps)
-        lines.append(("# " if shape == "comment" else "") + line)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+        if shape == "comment":
+            line = draw(lead) + "# " + line
+        elif shape == "trailing_comment":  # the line loop rejects it; numpy would drop the comment
+            line += "# " + draw(st.sampled_from(_FLOATS))
+        lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + newline
 
 
@@ -193,6 +200,7 @@ class TestTensorFiles:
         "over_wide": (["0 99999999999999999999999 1 0"], ["1 99999999999999999999999 1 1 0"], "99999999999999999999999"),
         # each exponent fits int64, but their sum, the degree, does not
         "wide_degree": (["4611686018427387904 4611686018427387904 1 0"], ["4611686018427387904 1 1 1 0"], "out of range"),
+        "trailing_comment": (["1 0 1 0 # c"], ["1 1 1 1 0 # c"], "expected"),
     }
 
     @pytest.mark.parametrize("fault", list(MALFORMED))
@@ -277,6 +285,8 @@ class TestTensorFiles:
         "dense": "TENSOR v1 dense order=3 dims=2,3,2\n\n# 1 1 1 9 9\n1\t3 2  5. .5\n2 01 1\t-0.0 7e-300\n  \n",
         "one_sym_entry": "TENSOR v1 sym order=2 dims=4,4\n0 2 0 -1.25 0\n",
         "one_dense_entry": "TENSOR v1 dense order=1 dims=3\n2 1e10 -0\n",
+        "crlf": "TENSOR v1 dense order=2 dims=2,2\r\n1 1 1.5 -0\r\n\r\n# c\r\n2 2 -0 2\r\n",
+        "comments_before_header": "# a tensor\n\n \t# TENSOR v1 sym order=1 dims=1\nTENSOR v1 sym order=2 dims=3,3\n# c\n0 0 1 0\n",
     }
 
     @pytest.mark.parametrize("name", list(VALID))
@@ -296,8 +306,57 @@ class TestTensorFiles:
         back = read_tensor(path)
         assert back.data.view(np.float64).tobytes() == F.data.view(np.float64).tobytes()
 
+    def test_written_sym_file_skips_the_line_loop(self, tmp_path, monkeypatch):
+        F, _, _ = gen_random_sym(15, 4, 10, 0.1, seed=1)
+        path = tmp_path / "t.tns"
+        write_tensor(F, path)
+        monkeypatch.setattr(tensorio, "_parse_entry", _fail_parse_entry)
+        back = read_tensor(path)
+        assert back.values.view(np.float64).tobytes() == F.values.view(np.float64).tobytes()
+
+    @pytest.mark.parametrize(
+        "late",
+        [["8 8 x 0"], ["8 8 1.5"], ["8 8 nan 0"], ["8 8 1_0 -0"], ["8 6 inf 0", "8 7 0 0", "8 8 x 0"]],
+        ids=["bad_token", "short_line", "non_finite", "python_only", "non_finite_before_bad_token"],
+    )
+    def test_late_fault_parses_from_the_faulty_line(self, tmp_path, monkeypatch, late):
+        # numpy names a bad token's row from 0 and a short line's from 1; blank and
+        # comment lines, also before the header, must not shift where the line loop starts
+        entries = [f"{i} {j} {i}.5 -{j}" for i in range(1, 9) for j in range(1, 9)][: 64 - len(late)]
+        text = "# a tensor\n\nTENSOR v1 dense order=2 dims=8,8\n"
+        text += "".join(f"{e}\n# comment\n\n" if e.endswith("-3") else f"{e}\n" for e in entries)
+        path = tmp_path / "t.tns"
+        path.write_text(text + "\n".join(late) + "\n")
+        expected = outcome(line_loop_read_tensor, path)
+        parsed = []
+
+        def counting(ln, *args):
+            parsed.append(ln)
+            return _parse_entry(ln, *args)
+
+        monkeypatch.setattr(tensorio, "_parse_entry", counting)
+        assert outcome(read_tensor, path) == expected
+        assert parsed == [late[0]]
+
+    @pytest.mark.parametrize(
+        "text,readable",
+        [
+            ("TENSOR\n# c\n \t# c\r\n1 2\r# c\n", True),
+            ("# c\n\nTENSOR\n1 2 # c\n", False),
+            ("TENSOR\n\x0b# c\n", False),
+            ("TENSOR\r\n1 2\r\n1 \u0661\r\n", False),
+        ],
+        ids=["comment_lines", "trailing_comment", "vertical_tab_before_comment", "non_ascii"],
+    )
+    def test_byte_scan_reads_the_same_in_any_chunk_size(self, tmp_path, monkeypatch, text, readable):
+        path = tmp_path / "t.tns"
+        path.write_bytes(text.encode("utf-8"))
+        for size in range(1, len(text) + 1):
+            monkeypatch.setattr(tensorio, "_SCAN_BYTES", size)
+            assert tensorio._numpy_readable(path) == readable, size
+
     @pytest.mark.parametrize("header", ["TENSOR v1 sym order=3 dims=3,3,3", "TENSOR v1 dense order=2 dims=2,3"])
-    @pytest.mark.parametrize("body", ["", "# only a comment\n\n   \n"])
+    @pytest.mark.parametrize("body", ["", "# only a comment\n\n   \n", "# only\r\n# comments\r\n"])
     def test_empty_body_is_the_zero_tensor(self, tmp_path, header, body):
         path = tmp_path / "t.tns"
         path.write_text(f"{header}\n{body}")
