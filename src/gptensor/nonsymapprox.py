@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg.blas
@@ -41,6 +42,9 @@ __all__ = [
     "approx_nonsym",
 ]
 
+# bytes of one slab of the residual's difference: a few slabs at 60^3, one at 40^3
+RESIDUAL_SLAB_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class NsGenMatrix:
@@ -59,9 +63,19 @@ class NsGenMatrix:
 
 @dataclass(kw_only=True)
 class NsApproxResult(ApproxResult):
+    """Dense result; `X_gp` and `X_opt` are built from the tuples on first access."""
+
     tuples: list  # r tuples of m vectors each, original mode order
     mode_permutation: tuple[int, ...]
     tuples_opt: list | None = None
+
+    @cached_property
+    def X_gp(self) -> DenseTensor:
+        return reconstruct_ns(self.tuples)
+
+    @cached_property
+    def X_opt(self) -> DenseTensor | None:
+        return None if self.tuples_opt is None else reconstruct_ns(self.tuples_opt)
 
 
 def _check_mode_rows(dims, r: int) -> None:
@@ -102,11 +116,14 @@ def mode_permute(F: DenseTensor):
 
     Returns (permuted tensor, perm) where perm lists the original mode of each
     new position; the relative order of the remaining modes is preserved.
+    When the largest mode is already first, the tensor is F itself.
     """
     if F.order < 3:
         raise ValueError("nonsymmetric pipeline needs order >= 3")
     first = int(np.argmax(F.dims))
     perm = (first,) + tuple(j for j in range(F.order) if j != first)
+    if first == 0:
+        return F, perm
     return DenseTensor(np.transpose(F.data, perm)), perm
 
 
@@ -220,6 +237,23 @@ def reconstruct_ns(tuples) -> DenseTensor:
     return DenseTensor((A[0] @ khatri_rao(A[1:]).T).reshape([len(a) for a in A]))
 
 
+def _slab_residual(F: DenseTensor, factors) -> float:
+    """||F - A_1 @ khatri_rao(A_2..A_m).T|| for the (n_t, r) factors A_t of F's modes.
+
+    The difference is formed over slabs of mode-1 rows of at most
+    RESIDUAL_SLAB_BYTES each, so no temporary is as large as F.
+    """
+    unfolded = F.data.reshape(F.dims[0], -1)
+    kr_t = khatri_rao(factors[1:]).T
+    step = max(1, RESIDUAL_SLAB_BYTES // (kr_t.shape[1] * kr_t.itemsize))
+    total = 0.0
+    for lo in range(0, F.dims[0], step):
+        D = factors[0][lo : lo + step] @ kr_t
+        D -= unfolded[lo : lo + step]
+        total += np.vdot(D, D).real
+    return math.sqrt(total)
+
+
 def rank1_closed_form_ns(F: DenseTensor):
     """Closed-form rank-1 tuple; equals the full pipeline at r = 1.
 
@@ -249,10 +283,12 @@ def _draw_xi(dims, rng) -> np.ndarray:
 def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) -> NsApproxResult:
     """Rank-r approximation of a dense tensor of order >= 3.
 
-    The result's tuples and tensors are reported in the original mode order;
-    `mode_permutation` records the internal reordering.  When `refine` is set,
-    a local nonlinear least-squares polish is kept if it does not worsen the
-    residual (see `refine.refine_if_helps`).
+    The result's tuples are reported in the original mode order;
+    `mode_permutation` records the internal reordering.  `residual_gp` is
+    computed from the factors, and the full tensors `X_gp` / `X_opt` only
+    when first read.  When `refine` is set, a local nonlinear least-squares
+    polish is kept if it does not worsen the residual (see
+    `refine.refine_if_helps`).
     """
     check_shape_ns(F.dims, r)
     Fp, perm = mode_permute(F)
@@ -265,14 +301,12 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     permuted = [solve_first_mode(P, W).T, *modes]
     factors = [permuted[t] for t in np.argsort(perm)]
     tuples = [[a[:, s] for a in factors] for s in range(r)]
-    X_gp = reconstruct_ns(tuples)
-    residual_gp = float(np.linalg.norm(F.data - X_gp.data))
+    residual_gp = _slab_residual(F, factors)
     diagnostics = dict(diagnostics, xi_seed=seed)
 
     result = NsApproxResult(
         rank=r,
         tuples=tuples,
-        X_gp=X_gp,
         residual_gp=residual_gp,
         mode_permutation=perm,
         diagnostics=diagnostics,
@@ -281,5 +315,4 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     if polished is not None:
         result.refined = True
         result.tuples_opt, result.residual_opt = polished
-        result.X_opt = reconstruct_ns(result.tuples_opt)
     return result

@@ -324,13 +324,13 @@ class ApproxResult:
 
     `refined` says whether `refine_if_helps` kept a polish of the fit
     (`X_gp`, `residual_gp`); `X_opt` and `residual_opt` then hold the polish.
+    Each kind provides `X_gp` and `X_opt` (None unless refined) itself: the
+    symmetric result stores them, the dense one builds them on first access.
     """
 
     rank: int
-    X_gp: SymTensor | DenseTensor
     residual_gp: float
     refined: bool = False
-    X_opt: SymTensor | DenseTensor | None = None
     residual_opt: float | None = None
     diagnostics: dict = field(default_factory=dict)
 

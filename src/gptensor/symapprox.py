@@ -105,7 +105,9 @@ class SymApproxResult(ApproxResult):
     points: np.ndarray  # (r, n), first coordinate 1
     coefficients: np.ndarray  # (r,)
     u_ls: np.ndarray  # (r, n): lambda^(1/m) scaled points
+    X_gp: SymTensor
     u_opt: np.ndarray | None = None
+    X_opt: SymTensor | None = None
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ class TestModePermute:
     def test_order_two_rejected(self):
         with pytest.raises(ValueError):
             mode_permute(DenseTensor(np.zeros((3, 3))))
+
+    def test_largest_mode_first_returns_the_tensor(self):
+        t = DenseTensor(np.ones((7, 3, 5)))
+        p, perm = mode_permute(t)
+        assert p is t and perm == (0, 1, 2)
+
+    def test_other_orders_copy_contiguously(self):
+        rng = np.random.default_rng(0)
+        t = DenseTensor(rng.standard_normal((3, 7, 4)))
+        p, perm = mode_permute(t)
+        assert p.data.flags.c_contiguous
+        assert np.array_equal(p.data, np.transpose(t.data, perm))
 
 
 class TestSystemAssembly:
@@ -227,6 +240,63 @@ class TestPipeline:
         F, _, _ = gen_random_ns((5, 4, 3), 2, 0.0, seed=10)
         res = approx_nonsym(F, 2, refine=True)
         assert not res.refined
+
+
+class TestDenseResult:
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    @pytest.mark.parametrize(
+        "dims,r,slab_rows",
+        # slab_rows None keeps the module's budget; 7 rows do not divide 30,
+        # and a budget below one row gives one row per slab
+        [((3, 7, 4), 2, None), ((4, 5, 3, 3), 2, None), ((30, 20, 10), 10, None),
+         ((30, 20, 10), 10, 7), ((5, 4, 3), 2, 0.5)],
+    )
+    def test_slab_residual_is_the_residual(self, monkeypatch, dims, r, slab_rows, eps):
+        if slab_rows is not None:
+            row_bytes = 16 * np.prod(dims[1:])
+            monkeypatch.setattr(nonsymapprox, "RESIDUAL_SLAB_BYTES", int(slab_rows * row_bytes))
+        F, _, _ = gen_random_ns(dims, r, eps, seed=17)
+        res = approx_nonsym(F, r, refine=False, seed=17)
+        direct = np.linalg.norm(F.data - reconstruct_ns(res.tuples).data)
+        assert abs(res.residual_gp - direct) <= 1e-13 * F.norm()
+
+    def test_refined_residual_is_the_residual(self):
+        F = named_tensor("expsum3")
+        res = approx_nonsym(F, 2)
+        assert res.refined
+        direct = np.linalg.norm(F.data - reconstruct_ns(res.tuples_opt).data)
+        assert abs(res.residual_opt - direct) <= 1e-13 * F.norm()
+
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_full_tensors_built_on_first_access(self, monkeypatch, refined):
+        F = named_tensor("expsum3") if refined else gen_random_ns((3, 7, 4), 2, 1e-2, seed=18)[0]
+
+        def forbidden(tuples):
+            raise AssertionError("approx_nonsym built a full tensor")
+
+        monkeypatch.setattr(nonsymapprox, "reconstruct_ns", forbidden)
+        res = approx_nonsym(F, 2, refine=refined)
+        monkeypatch.undo()
+        assert res.refined == refined
+        assert np.array_equal(res.X_gp.data, reconstruct_ns(res.tuples).data)
+        assert res.X_gp is res.X_gp
+        if refined:
+            assert np.array_equal(res.X_opt.data, reconstruct_ns(res.tuples_opt).data)
+            assert res.X_opt is res.X_opt
+        else:
+            assert res.X_opt is None
+
+    def test_extra_memory_is_a_fraction_of_the_tensor(self):
+        # largest mode first, so nothing copies F; the residual runs over slabs
+        F, _, _ = gen_random_ns((80, 80, 80), 5, 0.0, seed=19)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            approx_nonsym(F, 5, refine=False, seed=19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 0.5 * F.data.nbytes
 
 
 class TestCore:
