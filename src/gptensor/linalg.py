@@ -74,22 +74,15 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return Vh[:k].conj().T @ y
 
 
-def svd(A: np.ndarray, compute_uv: bool = True):
-    """Full SVD A = U diag(s) V*; returns (U, s, V) with s nonincreasing.
-
-    With compute_uv=False only s is computed and returned.
-    """
+def svd(A: np.ndarray) -> np.ndarray:
+    """Singular values of A, nonincreasing."""
     A = np.asarray(A, dtype=np.complex128)
     if A.size == 0:
         raise ValueError("svd of an empty matrix")
     try:
-        out = np.linalg.svd(A, full_matrices=True, compute_uv=compute_uv)
+        return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    if not compute_uv:
-        return out
-    U, s, Vh = out
-    return U, s, Vh.conj().T
 
 
 def schur(M: np.ndarray) -> SchurPair:
@@ -133,25 +126,22 @@ def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
     commutes its Schur vectors q_s triangularize every M_k, so the Rayleigh
     quotients q_s* M_k q_s are the eigenvalues of M_k belonging to the s-th
     common eigenvector (Corless, Gianni & Trager, ISSAC 1997).  Returns
-    (values, diagnostics) with values of shape (r, K).  The diagnostics say
-    how far to trust them:
+    (values, diagnostics) with values of shape (r, K), read off the diagonals
+    of the one (K, r, r) product T_k = Q* M_k Q.  The readout neglects the
+    strictly lower triangles of T, so the diagnostics say how far to trust it:
 
-    - commutator: max_{a<b} ||M_a M_b - M_b M_a||_F / max(1, max_k ||M_k||_F)^2;
+    - schur_defect: max_k ||tril(T_k, -1)||_F / max(1, max_k ||M_k||_F), 0 when
+      the Schur vectors triangularize every M_k;
     - eigengap: min_{a<b} |lambda_a - lambda_b| / max(1, max |lambda|) over the
       eigenvalues of the combination, inf when r = 1;
-    - low_confidence: eigengap < 1e-8 or commutator > 1e-6.
+    - low_confidence: eigengap < 1e-8 or schur_defect > 1e-6.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     Q = pair.Q
-    values = np.einsum("is,kij,js->sk", Q.conj(), mats, Q, optimize=True)
-
+    T = Q.conj().T @ mats @ Q
+    values = np.diagonal(T, axis1=1, axis2=2).T.copy()
     scale = max(1.0, np.linalg.norm(mats, axis=(1, 2)).max())
-    comm = 0.0
-    # one row of pairs at a time keeps memory at K r^2, not the K^2 r^2 of a full batch
-    for a in range(len(mats) - 1):
-        rest = mats[a + 1 :]
-        comm = max(comm, np.linalg.norm(mats[a] @ rest - rest @ mats[a], axis=(1, 2)).max())
-    comm /= scale**2
+    defect = np.linalg.norm(np.tril(T, -1), axis=(1, 2)).max() / scale
     eig = pair.eigenvalues
     if len(eig) > 1:
         gaps = np.abs(eig[:, None] - eig[None, :])[np.triu_indices(len(eig), 1)]
@@ -159,9 +149,9 @@ def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
     else:
         gap = np.inf
     diagnostics = {
-        "commutator": float(comm),
+        "schur_defect": float(defect),
         "eigengap": float(gap),
-        "low_confidence": bool(gap < 1e-8 or comm > 1e-6),
+        "low_confidence": bool(gap < 1e-8 or defect > 1e-6),
     }
     return values, diagnostics
 

@@ -110,9 +110,9 @@ def estimate_rank(eta: np.ndarray, shape: tuple[int, int] = (0, 0)) -> SpectrumR
 
 def spectrum_sym(t: SymTensor) -> SpectrumReport:
     cat = catalecticant_sym(t)
-    return estimate_rank(svd(cat, compute_uv=False), shape=cat.shape)
+    return estimate_rank(svd(cat), shape=cat.shape)
 
 
 def spectrum_ns(t: DenseTensor, split=None) -> SpectrumReport:
     cat = catalecticant_ns(t, split=split)
-    return estimate_rank(svd(cat, compute_uv=False), shape=cat.shape)
+    return estimate_rank(svd(cat), shape=cat.shape)

@@ -9,11 +9,10 @@ from gptensor.experiments import (
     RunReport,
     TrialResult,
     bench_preset,
-    relerr,
     run_experiment,
     trial_seeds,
 )
-from gptensor.generate import gen_random_sym
+from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.linalg import NumericalError
 from gptensor.nonsymapprox import approx_nonsym, check_shape_ns
 from gptensor.symapprox import approx_sym, check_shape_sym
@@ -21,23 +20,26 @@ from gptensor.tensors import DenseTensor, SymTensor
 
 
 class TestRelerr:
-    def test_recover_unperturbed_gives_one(self):
-        F, R, E = gen_random_sym(5, 3, 2, 0.1, seed=0)
-        assert np.isclose(relerr(F, R, E), 1.0)
-
-    def test_perfect_fit_gives_zero(self):
-        F, R, E = gen_random_sym(5, 3, 2, 0.1, seed=1)
-        assert relerr(F, F, E) == 0.0
+    @staticmethod
+    def solve(spec, seed):
+        if spec.kind == "sym":
+            F, _, E = gen_random_sym(*spec.dims, spec.rank, spec.eps, seed)
+            return F, E, approx_sym(F, spec.rank, refine=True, seed=seed)
+        F, _, E = gen_random_ns(spec.dims, spec.rank, spec.eps, seed)
+        return F, E, approx_nonsym(F, spec.rank, refine=True, seed=seed)
 
     def test_matches_hand_computed_quotient(self):
-        F, R, E = gen_random_sym(4, 3, 2, 0.25, seed=2)
-        X = R * 0.9
-        assert np.isclose(relerr(F, X, E), (F - X).norm() / 0.25)
-
-    def test_zero_eps_rejected(self):
-        F, R, E = gen_random_sym(4, 3, 2, 0.0, seed=3)
-        with pytest.raises(ZeroDivisionError):
-            relerr(F, R, E)
+        # a trial's relerr is its kept residual over ||E||: check it, and the residual it would
+        # use unrefined, against ||F - X|| / ||E|| formed from the full tensors of the same solve
+        sym = InstanceSpec("sym", (5, 3), 2, 1e-2, trials=1)
+        dense = InstanceSpec("nonsym", (5, 4, 3), 2, 1e-2, trials=1)
+        for spec in (sym, dense):
+            (seed,) = trial_seeds(spec.seed, 1)
+            F, E, res = self.solve(spec, seed)
+            trial = experiments._run_trial(spec, seed)
+            X = res.X_opt if res.refined else res.X_gp
+            assert trial.relerr == pytest.approx((F - X).norm() / E.norm(), rel=1e-12)
+            assert trial.residual_gp == pytest.approx((F - res.X_gp).norm(), rel=1e-12)
 
 
 class TestSpecValidation:

@@ -141,7 +141,7 @@ class TestExtraction:
         assert [a.shape for a in factors] == [(4, 2), (3, 2)]
         for a in factors:
             assert np.all(a[0] == 1.0)
-        assert diag["commutator"] <= 1e-8
+        assert diag["schur_defect"] <= 1e-8
         assert not diag["low_confidence"]
 
     @pytest.mark.parametrize("dims", [(5, 4, 3), (4, 5, 3, 3)])

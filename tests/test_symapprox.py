@@ -207,14 +207,16 @@ class TestPipeline:
             approx_sym(F, 10**6)
 
     def test_diagnostics_edge_cases(self):
-        # n = 2: a single companion matrix, so nothing can fail to commute
+        # n = 2: a single companion matrix, which its own Schur vectors triangularize
+        # up to the rounding of recomputing Q* M Q
         F, _, _ = gen_random_sym(2, 4, 2, 0.0, seed=1)
         diag = approx_sym(F, 2).diagnostics
-        assert set(diag) == {"commutator", "eigengap", "low_confidence", "fit_cond", "xi_seed"}
-        assert diag["commutator"] == 0.0 and not diag["low_confidence"]
-        # r = 1: a single eigenvalue has no gap to another
+        assert set(diag) == {"schur_defect", "eigengap", "low_confidence", "fit_cond", "xi_seed"}
+        assert diag["schur_defect"] <= 1e-14 and not diag["low_confidence"]
+        # r = 1: a single eigenvalue has no gap to another, and a 1 x 1 T nothing below it
         F, _, _ = gen_random_sym(4, 3, 1, 0.0, seed=2)
-        assert approx_sym(F, 1).diagnostics["eigengap"] == np.inf
+        diag = approx_sym(F, 1).diagnostics
+        assert diag["eigengap"] == np.inf and diag["schur_defect"] == 0.0
 
     def test_deterministic_per_seed(self):
         F, _, _ = gen_random_sym(5, 3, 3, 1e-2, seed=9)
