@@ -143,11 +143,9 @@ def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
     scale = max(1.0, np.linalg.norm(mats, axis=(1, 2)).max())
     defect = np.linalg.norm(np.tril(T, -1), axis=(1, 2)).max() / scale
     eig = pair.eigenvalues
-    if len(eig) > 1:
-        gaps = np.abs(eig[:, None] - eig[None, :])[np.triu_indices(len(eig), 1)]
-        gap = gaps.min() / max(1.0, np.max(np.abs(eig)))
-    else:
-        gap = np.inf
+    gaps = np.abs(eig[:, None] - eig)
+    np.fill_diagonal(gaps, np.inf)  # so r = 1 gives inf
+    gap = gaps.min() / max(1.0, np.max(np.abs(eig)))
     diagnostics = {
         "schur_defect": float(defect),
         "eigengap": float(gap),

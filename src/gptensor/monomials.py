@@ -5,7 +5,9 @@ alpha in N^{n-1} with |alpha| <= m: the multi-index (i1,...,im), 1 <= ij <= n,
 maps to the monomial x_{i1-1} * ... * x_{im-1} with x0 := 1, and alpha records
 the exponent of each of x1,...,x_{n-1}.  Monomials of equal degree are ordered
 with x1 > x2 > ... > x_{n-1}, so listing starts 1, x1, ..., x_{n-1}, x1^2,
-x1*x2, ...
+x1*x2, ...  `power_table(n - 1, m)` is this listing as read-only int64 rows,
+the one form power vectors take in the package, and `grlex_position` maps
+rows (and sums of rows) back to their positions in it.
 
 Written as its m factors in ascending order (x0 padding the degree to m), a
 monomial is a sorted m-tuple, and this listing is the lexicographic order of
@@ -22,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "monomials_upto",
     "grlex_position",
     "multiindex_to_power",
     "multiplicity",
@@ -32,14 +33,8 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def monomials_upto(nvars: int, deg: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples with total degree <= `deg`, graded-lex order."""
-    return tuple(map(tuple, power_table(nvars, deg)[0].tolist()))
-
-
 def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
-    """Row of the power vector `sum(terms)` in `monomials_upto(nvars, m)`.
+    """Row of the power vector `sum(terms)` in `power_table(nvars, m)`.
 
     Terms are integer arrays of shape (..., nvars) whose leading axes broadcast:
     `grlex_position(nvars, m, rows[:, None], cols[None])` indexes the Hankel
@@ -115,7 +110,7 @@ def multiplicities(powers: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def power_table(nvars: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shared read-only `monomials_upto(nvars, m)` as an (N, nvars) array, and its counts.
+    """Shared read-only (N, nvars) int64 graded-lex listing of degree <= m, and its counts.
 
     Row i counts each variable's factors in row i of `factor_table(nvars, m)`.
     The counts are the multi-index counts of the rows (`multiplicities`).

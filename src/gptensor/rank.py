@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import svd
-from .monomials import monomials_upto
+from .monomials import power_table
 from .tensors import DenseTensor, SymTensor
 
 __all__ = [
@@ -51,7 +51,7 @@ def catalecticant_sym(t: SymTensor) -> np.ndarray:
         raise ValueError("catalecticant needs order >= 2")
     m1 = t.m // 2
     m2 = t.m - m1
-    return t.hankel(monomials_upto(t.nbar, m1), monomials_upto(t.nbar, m2))
+    return t.hankel(power_table(t.nbar, m1)[0], power_table(t.nbar, m2)[0])
 
 
 def default_split(dims) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -39,7 +39,6 @@ __all__ = [
     "MAX_ITERATIONS",
     "GRAD_TOL",
     "STEP_TOL",
-    "RESIDUAL_TOL",
     "INIT_DAMPING",
 ]
 
@@ -49,13 +48,11 @@ __all__ = [
 SKIP_REFINE_TOL = 1e-10
 
 # Fixed Levenberg-Marquardt rules: stop after MAX_ITERATIONS iterations, when
-# the largest real gradient entry is at most GRAD_TOL, when a step is at most
-# STEP_TOL * (1 + ||c||) or when the residual norm is at most RESIDUAL_TOL; the
-# first damping is INIT_DAMPING * max diag(J^H J).
+# the largest real gradient entry is at most GRAD_TOL or when a step is at most
+# STEP_TOL * (1 + ||c||); the first damping is INIT_DAMPING * max diag(J^H J).
 MAX_ITERATIONS = 500
 GRAD_TOL = 1e-10
 STEP_TOL = 1e-12
-RESIDUAL_TOL = 1e-15
 INIT_DAMPING = 1e-3
 
 
@@ -78,8 +75,6 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
     for iters in range(1, MAX_ITERATIONS + 1):
         # the real gradient over (Re c, Im c) is (Re g, Im g)
         if np.max(np.abs(g.view(np.float64))) <= GRAD_TOL:
-            break
-        if np.sqrt(2.0 * cost) <= RESIDUAL_TOL:
             break
         damped = H.copy()
         damped[np.diag_indices_from(damped)] += mu
@@ -105,8 +100,6 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
         else:
             mu *= nu
             nu *= 2.0
-            if mu > 1e18:
-                break
     return c, float(np.sqrt(2.0 * cost)), iters
 
 

@@ -14,15 +14,15 @@ of their power vector, so minimizing the compact objective minimizes the true
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
-from .monomials import grlex_position, monomials_upto, power_table
+from .monomials import grlex_position, power_table
 from .refine import ApproxResult, refine_if_helps, refine_sym
 from .tensors import SymTensor, monomial_values
 
@@ -48,47 +48,30 @@ __all__ = [
 FIT_COND_LIMIT = 1e8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialBasisPair:
-    """B0: the first r monomials in graded-lex order; B1: their one-step shifts."""
+    """B0: the first r power vectors in graded-lex order; B1: their one-step shifts outside B0.
+
+    Both are read-only int64 rows of `power_table`, B1 in graded-lex order too.
+    `shift_index[i-1, k]` locates x_i * B0[k] as B0[index] or B1[index - r].
+    """
 
     nbar: int
-    B0: tuple[tuple[int, ...], ...]
-    B1: tuple[tuple[int, ...], ...]
+    B0: np.ndarray  # (r, nbar)
+    B1: np.ndarray  # (|B1|, nbar)
+    shift_index: np.ndarray  # (nbar, r)
 
     @property
     def rank(self) -> int:
         return len(self.B0)
 
     @cached_property
-    def max_degree(self) -> int:
-        return max(sum(a) for a in self.B1)
-
-    @cached_property
-    def shift_index(self) -> np.ndarray:
-        """(nbar, r) table: entry [i-1, k] locates x_i * B0[k] as B0[index] or B1[index - r].
-
-        B0 is rows 0..r-1 of the graded-lex listing and B1 the other shift rows in
-        order, so a shift row below r is its B0 index and the rank of any other
-        among the distinct shift rows is its B1 index.
-        """
-        r, nbar = self.rank, self.nbar
-        eye = np.eye(nbar, dtype=np.int64)[:, None]
-        rows = grlex_position(nbar, self.max_degree, np.array(self.B0)[None], eye)
-        outside = rows >= r
-        rows[outside] = r + np.searchsorted(np.unique(rows[outside]), rows[outside])
-        rows.flags.writeable = False
-        return rows
-
-    @cached_property
-    def shift_blocks(self) -> tuple[tuple[slice, tuple[tuple[int, ...], ...]], ...]:
-        """B1 cut by degree, lowest first: the columns and power vectors of each degree."""
-        blocks, start = [], 0
-        for _, group in itertools.groupby(self.B1, key=sum):
-            alphas = tuple(group)
-            blocks.append((slice(start, start + len(alphas)), alphas))
-            start += len(alphas)
-        return tuple(blocks)
+    def degrees(self) -> MappingProxyType:
+        """Read-only map from the distinct degrees of B1, lowest first, to their (contiguous) columns."""
+        sums = self.B1.sum(axis=1)
+        return MappingProxyType(
+            {int(d): slice(*np.searchsorted(sums, [d, d + 1]).tolist()) for d in np.unique(sums)}
+        )
 
 
 @dataclass(frozen=True)
@@ -114,8 +97,8 @@ class SymApproxResult(ApproxResult):
 def build_bases(n: int, r: int) -> MonomialBasisPair:
     """Monomial bases for rank r in n-1 variables.
 
-    Cached: every call for one (n, r) returns the same object, so its index
-    tables (`shift_index`, `shift_blocks`) are built once per shape.
+    Cached: every call for one (n, r) returns the same object, so its tables
+    (`shift_index`, `degrees`) are built once per shape.
     """
     if n < 2 or r < 1:
         raise ValueError(f"need n >= 2 and r >= 1, got n={n}, r={r}")
@@ -123,11 +106,16 @@ def build_bases(n: int, r: int) -> MonomialBasisPair:
     deg = 0
     while math.comb(nbar + deg, deg) < r:
         deg += 1
-    b0 = monomials_upto(nbar, deg)[:r]
-    # B0 holds rows 0..r-1 of the graded-lex listing; B1 is every other shift, in order
-    shifts = grlex_position(nbar, deg + 1, np.array(b0)[:, None], np.eye(nbar, dtype=np.int64))
-    b1 = tuple(monomials_upto(nbar, deg + 1)[row] for row in np.unique(shifts) if row >= r)
-    return MonomialBasisPair(nbar=nbar, B0=b0, B1=b1)
+    b0 = power_table(nbar, deg)[0][:r]
+    # B0 is rows 0..r-1 of the graded-lex listing, so a shift row below r is its
+    # B0 index, and the rank of any other among the distinct shift rows its B1 index
+    shifts = grlex_position(nbar, deg + 1, np.eye(nbar, dtype=np.int64)[:, None], b0[None])
+    outside = np.unique(shifts[shifts >= r])
+    shift_index = np.where(shifts < r, shifts, r + np.searchsorted(outside, shifts))
+    b1 = power_table(nbar, deg + 1)[0][outside]
+    for a in (b1, shift_index):
+        a.flags.writeable = False
+    return MonomialBasisPair(nbar=nbar, B0=b0, B1=b1, shift_index=shift_index)
 
 
 def check_shape_sym(n: int, m: int, r: int) -> None:
@@ -145,13 +133,13 @@ def check_shape_sym(n: int, m: int, r: int) -> None:
     if not 1 <= r <= nmon:
         raise ValueError(f"rank must be in 1..{nmon}, got {r}")
     bases = build_bases(n, r)
-    if bases.max_degree > m:
+    top = max(bases.degrees)
+    if top > m:
         raise ValueError(
-            f"rank {r} needs shift monomials of degree {bases.max_degree} > order {m}; "
+            f"rank {r} needs shift monomials of degree {top} > order {m}; "
             f"their least-squares columns would be unconstrained"
         )
-    for _, alphas in bases.shift_blocks:
-        d = sum(alphas[0])
+    for d in bases.degrees:
         rows = math.comb(bases.nbar + m - d, bases.nbar)
         if rows < r:
             raise ValueError(
@@ -160,35 +148,30 @@ def check_shape_sym(n: int, m: int, r: int) -> None:
             )
 
 
-def assemble_system(F: SymTensor, alphas, B0):
-    """Shared matrix A and right-hand sides B for shift monomials of one degree.
+def assemble_system(F: SymTensor, r: int, d: int):
+    """Shared matrix A and right-hand sides B for the rank-r shift monomials of degree d.
 
-    Rows run over gamma with |gamma| <= m - |alpha|: A[gamma, beta] = F_{beta+gamma}
-    and B[gamma, k] = F_{alphas_k+gamma}, both scaled by the row weight; column k
-    of the least-squares solution is the generating-matrix column of alphas_k.
-    The gather indices come from `_system_index`, built once per shape.
+    Rows run over gamma with |gamma| <= m - d: A[gamma, j] = F_{B0[j]+gamma} and
+    B[gamma, k] = F_{alpha_k+gamma} over the B1 rows alpha_k of degree d, both
+    scaled by the row weight; column k of the least-squares solution is the
+    generating-matrix column of alpha_k.  The gather indices come from
+    `_system_index`, built once per shape.
     """
-    index_A, index_B, w = _system_index(F.nbar, F.m, tuple(map(tuple, alphas)), tuple(map(tuple, B0)))
+    index_A, index_B, w = _system_index(F.n, F.m, r, d)
     return F.values[index_A] * w, F.values[index_B] * w
 
 
 @lru_cache(maxsize=None)
-def _system_index(nbar: int, m: int, alphas: tuple, B0: tuple):
-    """Read-only compact rows of A and B in `assemble_system`, and the row weights.
-
-    Depends only on (n, m) and the two monomial lists, so the pipeline builds
-    it once per (n, m, r).
-    """
-    degrees = sorted({int(sum(a)) for a in alphas})
-    if len(degrees) != 1:
-        raise ValueError(f"shift monomials must share one degree, got degrees {degrees}")
-    d = m - degrees[0]
-    if d < 0:
-        raise ValueError(f"|alpha| = {degrees[0]} exceeds order m = {m}")
-    gammas, counts = power_table(nbar, d)
+def _system_index(n: int, m: int, r: int, d: int):
+    """Read-only compact rows of A and B in `assemble_system`, and the row weights."""
+    bases = build_bases(n, r)
+    if d not in bases.degrees or d > m:
+        shifts = list(bases.degrees)
+        raise ValueError(f"need a shift degree of rank {r} (one of {shifts}) <= order {m}, got {d}")
+    gammas, counts = power_table(bases.nbar, m - d)
     rows = gammas[:, None]
-    index_A = grlex_position(nbar, m, rows, np.array(B0, dtype=np.int64)[None])
-    index_B = grlex_position(nbar, m, rows, np.array(alphas, dtype=np.int64)[None])
+    index_A = grlex_position(bases.nbar, m, rows, bases.B0[None])
+    index_B = grlex_position(bases.nbar, m, rows, bases.B1[bases.degrees[d]][None])
     w = np.sqrt(counts)[:, None]
     for a in (index_A, index_B, w):
         a.flags.writeable = False
@@ -201,8 +184,8 @@ def solve_generating_matrix(F: SymTensor, r: int) -> SymGenMatrix:
     bases = build_bases(F.n, r)
     G = np.empty((r, len(bases.B1)), dtype=np.complex128)
     residuals = np.empty(len(bases.B1))
-    for cols, alphas in bases.shift_blocks:
-        A, B = assemble_system(F, alphas, bases.B0)
+    for d, cols in bases.degrees.items():
+        A, B = assemble_system(F, r, d)
         X = lstsq_min_norm(A, B)
         G[:, cols] = X
         residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
@@ -276,8 +259,7 @@ def rank1_closed_form(F: SymTensor):
     """
     if F.m < 2:
         raise ValueError("rank-1 closed form needs order >= 2")
-    bases = build_bases(F.n, 1)
-    A, B = assemble_system(F, bases.B1, bases.B0)
+    A, B = assemble_system(F, 1, 1)
     denom = np.vdot(A, A).real
     if denom == 0:
         raise ValueError("degenerate leading slice: all degree <= m-1 entries vanish")

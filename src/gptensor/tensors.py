@@ -86,7 +86,7 @@ class SymTensor:
         self.n = n
         self.m = m
         self.nbar = n - 1
-        # shared read-only rows of `monomials_upto(n - 1, m)` and their multi-index counts
+        # shared read-only rows of `power_table(n - 1, m)`: power vectors and multi-index counts
         self.powers, self.weights = power_table(self.nbar, m)
         self.values = np.array(values, dtype=np.complex128)
         if self.values.shape != (len(self.powers),):

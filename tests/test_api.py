@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import gptensor
+from gptensor import refine
 from gptensor.generate import gen_random_ns, gen_random_sym
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -28,6 +29,13 @@ def diagnostics_keys():
     text = README.read_text(encoding="utf-8")
     table = text[text.index("| key | meaning |") :].split("\n\n")[0]
     return {re.search(r"`([^`]*)`", row.split("|")[1]).group(1) for row in table.splitlines()[2:]}
+
+
+def refinement_step_constants():
+    """Upper-case names in backticks in README's pipeline step 4, prefix dropped."""
+    text = README.read_text(encoding="utf-8")
+    step = text[text.index("4. **Refinement (optional).**") :].split("\n\n")[0]
+    return set(re.findall(r"`(?:gptensor\.refine\.)?([A-Z][A-Z_]+)`", step))
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +70,10 @@ def test_all_names_resolve():
         assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == [], info.name
     # the public API is README's table: a new export needs a README row
     assert set(gptensor.__all__) == entry_point_names()
+
+
+def test_readme_refinement_step_names_every_lm_rule():
+    """A rule deleted from `refine` cannot stay documented, nor a new one go undocumented."""
+    exported = {name for name in refine.__all__ if name.isupper()}
+    assert refinement_step_constants() == exported
+    assert exported == {"SKIP_REFINE_TOL", "MAX_ITERATIONS", "GRAD_TOL", "STEP_TOL", "INIT_DAMPING"}

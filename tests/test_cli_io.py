@@ -231,19 +231,25 @@ class TestTensorFiles:
             read_tensor(path)
 
     @pytest.mark.parametrize(
-        "header",
+        "header,message",
         [
-            "TENSOR v2 sym order=2 dims=2,2",
-            "TENSOR v1 other order=2 dims=2,2",
-            "TENSOR v1 sym order=3 dims=2,2",
-            "TENSOR v1 sym order=x dims=2,2,2",
-            "nothing",
+            pytest.param(header, message, id=header)
+            for header, message in [
+                ("TENSOR v2 sym order=2 dims=2,2", "bad header line"),
+                ("TENSOR v1 other order=2 dims=2,2", "unknown tensor kind"),
+                ("TENSOR v1 sym order=3 dims=2,2", "inconsistent order/dims"),
+                ("TENSOR v1 sym order=x dims=2,2,2", "bad header line"),
+                ("nothing", "bad header line"),
+                ("TENSOR v1 dense 3 2,2,2", "bad header line"),
+                ("TENSOR v1 sym order=2 dims=2,3", "cubic dims"),
+                ("# only a comment", "empty tensor file"),
+            ]
         ],
     )
-    def test_bad_headers(self, tmp_path, header):
+    def test_bad_headers(self, tmp_path, header, message):
         path = tmp_path / "t.tns"
         path.write_text(header + "\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=message):
             read_tensor(path)
 
     def test_bad_entries(self, tmp_path):
@@ -469,6 +475,9 @@ class TestReports:
         path.write_text("garbage\n")
         with pytest.raises(FormatError):
             parse_report(path)
+        path.write_text("REPORT v1\nkind=sym\n[meta]\n")
+        with pytest.raises(FormatError, match="unexpected report line 'kind=sym'"):
+            parse_report(path)
 
 
 class TestCli:
@@ -622,6 +631,12 @@ class TestCli:
         tns = str(tmp_path / "t.tns")
         main(["gen", "--kind", "sym", "--dims", "4,3", "--rank", "2", "-o", tns])
         assert main(["approx-ns", "--rank", "2", tns]) == EXIT_PRECONDITION
+
+    def test_dense_file_for_sym_command(self, tmp_path, capsys):
+        tns = str(tmp_path / "t.tns")
+        main(["gen", "--kind", "ns", "--dims", "3,3,3", "--rank", "2", "-o", tns])
+        assert main(["approx-sym", "--rank", "2", tns]) == EXIT_PRECONDITION
+        assert "requires a symmetric tensor file" in capsys.readouterr().err
 
     def test_report_dims_decode_as_int_tuples(self, tmp_path):
         sym, dense, rep = (str(tmp_path / name) for name in ("s.tns", "d.tns", "t.rep"))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from gptensor.monomials import (
     grlex_position,
-    monomials_upto,
     multiindex_to_power,
     multiplicities,
     multiplicity,
+    power_table,
 )
 
 
@@ -25,16 +25,18 @@ def brute_force_upto(nvars, deg):
 
 @pytest.mark.parametrize("nvars,deg", [(1, 3), (2, 3), (3, 4), (4, 2), (5, 3)])
 def test_monomials_upto_matches_bruteforce(nvars, deg):
-    assert list(monomials_upto(nvars, deg)) == brute_force_upto(nvars, deg)
-    assert len(monomials_upto(nvars, deg)) == math.comb(nvars + deg, deg)
+    powers = power_table(nvars, deg)[0]
+    assert powers.dtype == np.int64 and not powers.flags.writeable
+    assert list(map(tuple, powers.tolist())) == brute_force_upto(nvars, deg)
+    assert len(powers) == math.comb(nvars + deg, deg)
 
 
 def test_listing_starts_with_constant_and_linears():
-    mons = monomials_upto(3, 2)
-    assert mons[0] == (0, 0, 0)
-    assert mons[1:4] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    mons = power_table(3, 2)[0]
+    assert np.array_equal(mons[0], (0, 0, 0))
+    assert np.array_equal(mons[1:4], ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     # degree-2 block: x1^2, x1 x2, x1 x3, x2^2, x2 x3, x3^2
-    assert mons[4:] == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+    assert np.array_equal(mons[4:], ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)))
 
 
 def test_multiindex_to_power_examples():
@@ -61,7 +63,7 @@ def test_multiindex_to_power_permutation_invariant_exhaustive():
 @given(st.integers(2, 5), st.integers(1, 5), st.data())
 @settings(max_examples=50, deadline=None)
 def test_multiplicity_counts_permutations(n, m, data):
-    mons = monomials_upto(n - 1, m)
+    mons = list(map(tuple, power_table(n - 1, m)[0].tolist()))
     alpha = data.draw(st.sampled_from(mons))
     count = sum(
         multiindex_to_power(idx, n) == alpha for idx in itertools.product(range(1, n + 1), repeat=m)
@@ -72,21 +74,16 @@ def test_multiplicity_counts_permutations(n, m, data):
 
 
 def test_multiplicities_vectorized_matches_scalar():
-    mons = np.array(monomials_upto(3, 4))
+    mons = power_table(3, 4)[0]
     vec = multiplicities(mons, 4)
     for row, alpha in zip(vec, mons):
         assert row == multiplicity(tuple(alpha), 4)
 
 
-def _power_array(nvars, deg):
-    mons = monomials_upto(nvars, deg)
-    return np.array(mons, dtype=np.int64).reshape(len(mons), nvars)
-
-
 @given(st.integers(1, 6), st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
 def test_grlex_position_matches_enumeration(nvars, m):
-    rows = grlex_position(nvars, m, _power_array(nvars, m))
+    rows = grlex_position(nvars, m, power_table(nvars, m)[0])
     assert np.array_equal(rows, np.arange(math.comb(nvars + m, m)))
     unit = np.eye(1, nvars, dtype=np.int64)
     with pytest.raises(KeyError):
@@ -105,9 +102,9 @@ def test_grlex_position_matches_enumeration(nvars, m):
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_grlex_position_sum_gather_matches_dict_oracle(nvars, m):
-    oracle = {alpha: row for row, alpha in enumerate(monomials_upto(nvars, m))}
+    oracle = {tuple(alpha): row for row, alpha in enumerate(power_table(nvars, m)[0].tolist())}
     for m1 in range(m + 1):
-        rows, cols = _power_array(nvars, m1), _power_array(nvars, m - m1)
+        rows, cols = power_table(nvars, m1)[0], power_table(nvars, m - m1)[0]
         got = grlex_position(nvars, m, rows[:, None], cols[None])
         expect = [[oracle[tuple(a + b)] for b in cols] for a in rows]
         assert np.array_equal(got, expect)

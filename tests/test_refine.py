@@ -89,8 +89,6 @@ def real_embedded_lm(c0, residual, jacobian):
         g = J.T @ r
         if np.max(np.abs(g)) <= refine.GRAD_TOL:
             break
-        if np.sqrt(2.0 * cost) <= refine.RESIDUAL_TOL:
-            break
         H = J.T @ J
         try:
             step = np.linalg.solve(H + mu * np.eye(2 * h), -g)
@@ -117,8 +115,6 @@ def real_embedded_lm(c0, residual, jacobian):
         else:
             mu *= nu
             nu *= 2.0
-            if mu > 1e18:
-                break
     return unpack(best_x), float(np.sqrt(2.0 * best_cost)), iters
 
 

@@ -4,7 +4,7 @@ import pytest
 from gptensor import symapprox
 from gptensor.generate import gen_random_ns, gen_random_sym, named_tensor
 from gptensor.linalg import lstsq_min_norm
-from gptensor.monomials import monomials_upto, multiplicities
+from gptensor.monomials import multiplicities, power_table
 from gptensor.nonsymapprox import approx_nonsym
 from gptensor.symapprox import (
     approx_sym,
@@ -23,12 +23,14 @@ from gptensor.tensors import SymTensor, monomial_values, sym_power
 class TestBases:
     def test_first_monomials_and_shifts(self):
         bases = build_bases(4, 3)
-        assert bases.B0 == ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+        assert bases.B0.dtype == bases.B1.dtype == np.int64
+        assert np.array_equal(bases.B0, ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
         # shifts of B0 minus B0: x3 and the degree-2 shifts of x1, x2
-        assert (0, 0, 1) in bases.B1
-        assert (2, 0, 0) in bases.B1
-        assert all(b not in bases.B0 for b in bases.B1)
-        assert bases.max_degree == 2
+        B0, B1 = bases.B0.tolist(), bases.B1.tolist()
+        assert [0, 0, 1] in B1
+        assert [2, 0, 0] in B1
+        assert all(b not in B0 for b in B1)
+        assert max(bases.degrees) == 2
 
     def test_graded_lex_order_of_shifts(self):
         bases = build_bases(3, 4)
@@ -46,38 +48,39 @@ class TestGeneratingMatrix:
     def test_assemble_system_bruteforce(self):
         rng = np.random.default_rng(0)
         F = SymTensor(4, 4, rng.standard_normal(35) + 1j * rng.standard_normal(35))
-        oracle = {alpha: F.values[row] for row, alpha in enumerate(monomials_upto(F.nbar, F.m))}
-        bases = build_bases(4, 5)
+        oracle = dict(zip(map(tuple, power_table(F.nbar, F.m)[0].tolist()), F.values))
+        B0, B1 = build_bases(4, 5).B0.tolist(), build_bases(4, 5).B1.tolist()
         for deg in (2, 3):
-            alphas = [a for a in bases.B1 if sum(a) == deg]
-            A, B = assemble_system(F, alphas, bases.B0)
+            alphas = [a for a in B1 if sum(a) == deg]
+            A, B = assemble_system(F, 5, deg)
             d = F.m - deg
-            gammas = monomials_upto(F.nbar, d)
+            gammas = power_table(F.nbar, d)[0].tolist()
             w = np.sqrt(multiplicities(np.array(gammas), d))
-            assert A.shape == (len(gammas), len(bases.B0))
+            assert A.shape == (len(gammas), len(B0))
             assert B.shape == (len(gammas), len(alphas))
             for g, gamma in enumerate(gammas):
-                for j, beta in enumerate(bases.B0):
+                for j, beta in enumerate(B0):
                     assert A[g, j] == oracle[tuple(x + y for x, y in zip(beta, gamma))] * w[g]
                 for k, alpha in enumerate(alphas):
                     assert B[g, k] == oracle[tuple(x + y for x, y in zip(alpha, gamma))] * w[g]
-        with pytest.raises(ValueError, match="one degree"):
-            assemble_system(F, [(1, 0, 0), (2, 0, 0)], bases.B0)
-        with pytest.raises(ValueError, match="exceeds"):
-            assemble_system(F, [(5, 0, 0)], bases.B0)
+        # rank 5 in 3 variables shifts to degrees 2 and 3 only
+        with pytest.raises(ValueError, match=r"one of \[2, 3\]\) <= order 4, got 1"):
+            assemble_system(F, 5, 1)
+        with pytest.raises(ValueError, match=r"one of \[2, 3\]\) <= order 2, got 3"):
+            assemble_system(SymTensor(4, 2, np.ones(10)), 5, 3)
 
     @pytest.mark.parametrize("n,m,r,eps", [(6, 3, 2, 0.0), (10, 3, 5, 0.05), (12, 4, 10, 0.0)])
     def test_generating_matrix_matches_per_column_oracle(self, n, m, r, eps):
         """One multi-RHS solve per degree equals one least squares per B1 column."""
         F, _, _ = gen_random_sym(n, m, r, eps, seed=r)
         gm = solve_generating_matrix(F, r)
-        oracle = {alpha: F.values[row] for row, alpha in enumerate(monomials_upto(F.nbar, F.m))}
-        for col, alpha in enumerate(gm.bases.B1):
+        oracle = dict(zip(map(tuple, power_table(F.nbar, F.m)[0].tolist()), F.values))
+        for col, alpha in enumerate(gm.bases.B1.tolist()):
             d = F.m - sum(alpha)
-            gammas = monomials_upto(F.nbar, d)
+            gammas = power_table(F.nbar, d)[0].tolist()
             w = np.sqrt(multiplicities(np.array(gammas), d))
             A = np.array(
-                [[oracle[tuple(x + y for x, y in zip(beta, g))] for beta in gm.bases.B0] for g in gammas]
+                [[oracle[tuple(x + y for x, y in zip(beta, g))] for beta in gm.bases.B0.tolist()] for g in gammas]
             ) * w[:, None]
             b = np.array([oracle[tuple(x + y for x, y in zip(alpha, g))] for g in gammas]) * w
             x = lstsq_min_norm(A, b)
@@ -98,11 +101,11 @@ class TestGeneratingMatrix:
 
 def dict_companion_matrix(gm, i):
     """Multiplication by x_i through position dicts of B0 and B1, one column at a time."""
-    pos0 = {a: k for k, a in enumerate(gm.bases.B0)}
-    pos1 = {a: k for k, a in enumerate(gm.bases.B1)}
+    pos0 = {tuple(a): k for k, a in enumerate(gm.bases.B0.tolist())}
+    pos1 = {tuple(a): k for k, a in enumerate(gm.bases.B1.tolist())}
     r = gm.bases.rank
     M = np.zeros((r, r), dtype=np.complex128)
-    for col, nu in enumerate(gm.bases.B0):
+    for col, nu in enumerate(gm.bases.B0.tolist()):
         shifted = tuple(v + (k == i - 1) for k, v in enumerate(nu))
         if shifted in pos0:
             M[pos0[shifted], col] = 1.0

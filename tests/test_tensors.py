@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from gptensor.monomials import factor_table, monomials_upto, multiindex_to_power, power_table
+from gptensor.monomials import factor_table, multiindex_to_power, power_table
 from gptensor.tensors import (
     DenseTensor,
     SymTensor,
@@ -83,7 +83,7 @@ class TestSymTensor:
     def test_dense_roundtrip(self):
         for n, m in [(4, 3), (6, 4)]:
             t = random_sym(n, m, seed=5)
-            oracle = dict(zip(monomials_upto(n - 1, m), t.values))
+            oracle = dict(zip(map(tuple, power_table(n - 1, m)[0].tolist()), t.values))
             dense = t.to_dense()
             for idx in itertools.product(range(1, n + 1), repeat=m):
                 assert dense.entry(idx) == oracle[multiindex_to_power(idx, n)]
