@@ -55,7 +55,6 @@ class NsGenMatrix:
     Mode keys run over j = 2..m.
     """
 
-    rank: int
     dims: tuple[int, ...]
     blocks: dict[int, np.ndarray]
     column_residuals: dict[int, np.ndarray] = field(default=None)
@@ -196,7 +195,7 @@ def solve_generating_matrix_ns(F: DenseTensor, r: int) -> NsGenMatrix:
         X = lstsq_min_norm(A, rhs)
         residuals[j] = np.linalg.norm(A @ X - rhs, axis=0).reshape(r, nj - 1)
         blocks[j] = X.reshape(r, r, nj - 1)  # axes (ell, i, k-1)
-    return NsGenMatrix(rank=r, dims=F.dims, blocks=blocks, column_residuals=residuals)
+    return NsGenMatrix(dims=F.dims, blocks=blocks, column_residuals=residuals)
 
 
 def build_mjk(gm: NsGenMatrix, j: int, k: int) -> np.ndarray:

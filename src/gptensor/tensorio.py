@@ -19,7 +19,6 @@ import cmath
 import itertools
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -133,61 +132,38 @@ def _numpy_readable(path) -> bool:
     return True
 
 
-def _loadtxt(path, skip, dtype, max_rows=None):
-    # numpy warns of an empty body, which is the zero tensor, and of each blank
-    # or comment line before `max_rows` rows, which it rightly does not count
+def _loadtxt(path, skip, dtype):
+    # numpy warns of an empty body, which is the zero tensor
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"(loadtxt: input|Input line \d+) contained no data", UserWarning)
-        return np.loadtxt(
-            path, dtype=dtype, comments="#", skiprows=skip, encoding="ascii", ndmin=1, max_rows=max_rows
-        )
-
-
-def _failed_row(exc: ValueError) -> int:
-    """The entry row that numpy's loadtxt error names (0 when it names none).
-
-    numpy counts rows from 0 in a conversion error and from 1 in a
-    column-count error; both count entry rows only.
-    """
-    message = str(exc)
-    found = re.search(r" at row (\d+)", message)
-    if found is None:
-        return 0
-    row = int(found[1])
-    return row if message.startswith("could not convert") else max(row - 1, 0)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, dtype=dtype, comments="#", skiprows=skip, encoding="ascii", ndmin=1)
 
 
 def _parse_table(path, skip, dtype):
-    """Parse the entry lines after the first `skip` lines with numpy: (table, complete).
+    """Parse the entry lines after the first `skip` lines with numpy: the table, or None.
 
-    `table` holds the leading rows that numpy accepts and reads as finite;
-    `complete` says that these are all the rows.  What numpy accepts from
-    ASCII lines Python's int and float accept too, with the same values, so
-    these rows read the same through the line loop.
+    None unless the file passes the byte scan, numpy accepts every entry line
+    and reads every value as finite; the line loop then reads the whole file.
+    What numpy accepts from ASCII lines Python's int and float accept too,
+    with the same values, so a table reads the same as the line loop would.
     """
     if not _numpy_readable(path):
-        return np.empty(0, dtype), False
+        return None
     try:
-        table, complete = _loadtxt(path, skip, dtype), True
-    except ValueError as exc:
-        k = _failed_row(exc)
-        table, complete = (_loadtxt(path, skip, dtype, max_rows=k) if k else np.empty(0, dtype)), False
-    finite = np.isfinite(table["v"]).all(axis=1)
-    if not finite.all():
-        table, complete = table[: finite.argmin()], False
-    return table, complete
+        table = _loadtxt(path, skip, dtype)
+    except ValueError:
+        return None
+    return table if np.isfinite(table["v"]).all() else None
 
 
-def _parse_lines(fh, start, count, what):
+def _parse_lines(fh, count, what):
     """Parse entry lines one by one: (int64 rows, complex values, wide).
 
-    Reads the open file on from its header, parses the entry lines from the
-    `start`-th on (counting from 0) and raises FormatError for the first
-    malformed one.  `wide` maps the rows holding an integer beyond int64 to
-    their integers; their array row is 0.
+    Reads the open file on from its header and raises FormatError for the
+    first malformed entry line.  `wide` maps the rows holding an integer
+    beyond int64 to their integers; their array row is 0.
     """
-    entries = (ln for ln in map(str.strip, fh) if ln and not ln.startswith("#"))
-    lines = list(itertools.islice(entries, start, None))
+    lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
     rows = np.empty((len(lines), count), dtype=np.int64)
     values = np.empty(len(lines), dtype=np.complex128)
     wide = {}
@@ -206,11 +182,12 @@ def read_tensor(path):
 
     Every entry line is a row of integers and a complex value; the two kinds
     differ only in how a row maps to a storage position.  After one byte scan
-    of the file, numpy's reader parses the entry lines from the path; the
-    line loop parses only the rows from the first one numpy rejects or reads
-    as non-finite, to name the fault or to read syntax that only Python
-    accepts.  Of several faults the first malformed line is reported, then an
-    out-of-range entry, then the first line that repeats an earlier entry.
+    of the file, numpy's reader parses the entry lines from the path; a file
+    that numpy does not fully accept, or reads a non-finite value from, is
+    read by the line loop from its first entry line instead, to name the
+    fault or to read syntax that only Python accepts.  Of several faults the
+    first malformed line is reported, then an out-of-range entry, then the
+    first line that repeats an earlier entry.
     """
     with open(path, encoding="utf-8") as fh:
         header, skip = _find_header(fh)
@@ -219,15 +196,12 @@ def read_tensor(path):
             raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
         count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
         dtype = np.dtype([("i", np.int64, count), ("v", np.float64, 2)])
-        table, complete = _parse_table(path, skip, dtype)
-        rows = table["i"]
-        # a view of the (re, im) pairs, not re + 1j * im, which turns -0 parts into +0
-        values = np.ascontiguousarray(table["v"]).view(np.complex128).ravel()
-        wide = {}
-        if not complete:
-            more_rows, more_values, more_wide = _parse_lines(fh, len(table), count, what)
-            rows, values = np.concatenate([rows, more_rows]), np.concatenate([values, more_values])
-            wide = {len(table) + i: ints for i, ints in more_wide.items()}
+        table = _parse_table(path, skip, dtype)
+        if table is None:
+            rows, values, wide = _parse_lines(fh, count, what)
+        else:
+            # a view of the (re, im) pairs, not re + 1j * im, which turns -0 parts into +0
+            rows, values, wide = table["i"], np.ascontiguousarray(table["v"]).view(np.complex128).ravel(), {}
     if kind == "sym":
         n, m = dims[0], order
         if wide:

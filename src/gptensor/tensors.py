@@ -58,21 +58,23 @@ class DenseTensor:
         return float(np.linalg.norm(self.data))
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        self._check_compatible(other)
-        return DenseTensor(self.data + other.data)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        self._check_compatible(other)
-        return DenseTensor(self.data - other.data)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, c) -> "DenseTensor":
         return DenseTensor(self.data * c)
 
     __rmul__ = __mul__
 
-    def _check_compatible(self, other: "DenseTensor"):
+    def _combine(self, other, op):
+        # NotImplemented for any other operand, so Python raises TypeError
+        if not isinstance(other, DenseTensor):
+            return NotImplemented
         if self.dims != other.dims:
             raise ValueError(f"incompatible dense tensors: dims {self.dims} vs {other.dims}")
+        return DenseTensor(op(self.data, other.data))
 
 
 class SymTensor:
@@ -159,23 +161,25 @@ class SymTensor:
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._check_compatible(other)
-        return SymTensor(self.n, self.m, self.values + other.values)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
-        self._check_compatible(other)
-        return SymTensor(self.n, self.m, self.values - other.values)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, c) -> "SymTensor":
         return SymTensor(self.n, self.m, self.values * c)
 
     __rmul__ = __mul__
 
-    def _check_compatible(self, other: "SymTensor"):
+    def _combine(self, other, op):
+        # NotImplemented for any other operand, so Python raises TypeError
+        if not isinstance(other, SymTensor):
+            return NotImplemented
         if (self.n, self.m) != (other.n, other.m):
             raise ValueError(
                 f"incompatible symmetric tensors: ({self.n},{self.m}) vs ({other.n},{other.m})"
             )
+        return SymTensor(self.n, self.m, op(self.values, other.values))
 
 
 def _dense_positions(n: int, m: int) -> np.ndarray:

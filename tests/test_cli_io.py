@@ -167,6 +167,9 @@ class TestTensorFiles:
         again = tmp_path / "again.tns"
         write_tensor(back, again)
         assert again.read_bytes() == path.read_bytes()
+        # a bare array is not a tensor
+        with pytest.raises(TypeError, match="cannot serialize ndarray"):
+            write_tensor(np.zeros(3), again)
 
     def test_missing_entries_are_zero(self, tmp_path):
         path = tmp_path / "t.tns"
@@ -325,9 +328,9 @@ class TestTensorFiles:
         [["8 8 x 0"], ["8 8 1.5"], ["8 8 nan 0"], ["8 8 1_0 -0"], ["8 6 inf 0", "8 7 0 0", "8 8 x 0"]],
         ids=["bad_token", "short_line", "non_finite", "python_only", "non_finite_before_bad_token"],
     )
-    def test_late_fault_parses_from_the_faulty_line(self, tmp_path, monkeypatch, late):
-        # numpy names a bad token's row from 0 and a short line's from 1; blank and
-        # comment lines, also before the header, must not shift where the line loop starts
+    def test_late_fault_takes_the_line_loop(self, tmp_path, monkeypatch, late):
+        # a file that numpy does not fully accept is read by the line loop alone, from its
+        # first entry line; blank and comment lines, also before the header, are skipped
         entries = [f"{i} {j} {i}.5 -{j}" for i in range(1, 9) for j in range(1, 9)][: 64 - len(late)]
         text = "# a tensor\n\nTENSOR v1 dense order=2 dims=8,8\n"
         text += "".join(f"{e}\n# comment\n\n" if e.endswith("-3") else f"{e}\n" for e in entries)
@@ -342,7 +345,27 @@ class TestTensorFiles:
 
         monkeypatch.setattr(tensorio, "_parse_entry", counting)
         assert outcome(read_tensor, path) == expected
-        assert parsed == [late[0]]
+        assert parsed[0] == entries[0] and parsed[-1] == late[0]
+
+    def test_numpy_naming_a_later_row_still_gives_the_first_fault(self, tmp_path, monkeypatch):
+        # whatever row numpy's message names, the line loop finds the fault itself
+        entries = [f"{i} {j} 1 0" for i in range(1, 9) for j in range(1, 9)]
+        entries[3] = "1 4 x 0"
+        path = tmp_path / "t.tns"
+        path.write_text("TENSOR v1 dense order=2 dims=8,8\n" + "\n".join(entries) + "\n")
+
+        real, calls = tensorio._loadtxt, []
+
+        def late_row(*args, **kwargs):
+            # the first call fails naming a row past the fault; any later one reads for real
+            calls.append(args)
+            if len(calls) == 1:
+                raise ValueError("could not convert string 'x' to int64 at row 40, column 1.")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensorio, "_loadtxt", late_row)
+        with pytest.raises(FormatError, match=r"^bad entry line '1 4 x 0'$"):
+            read_tensor(path)
 
     @pytest.mark.parametrize(
         "text,readable",
@@ -445,6 +468,11 @@ class TestReports:
         path = tmp_path / "r.rep"
         path.write_text(text)
         assert parse_report(path)["s"]["x"] == 2.5
+        # blank and comment lines inside a section are skipped
+        path.write_text(text + "\n# note\ny=1\n")
+        assert parse_report(path)["s"] == {"x": 2.5, "y": 1}
+        with pytest.raises(TypeError, match="cannot encode report value"):
+            render_report({"a": object()}, {})
 
     def test_values_of_no_kind_rejected(self, tmp_path):
         path = tmp_path / "r.rep"
@@ -575,8 +603,13 @@ class TestCli:
         assert main(["approx-sym", "--rank", "100", tns]) == EXIT_PRECONDITION
         # missing file
         assert main(["approx-sym", "--rank", "2", str(tmp_path / "nope.tns")]) == EXIT_PRECONDITION
-        # malformed split
+        # malformed split, and a split without its `|`
         assert main(["rank-est", "--split", "junk", tns]) == EXIT_PRECONDITION
+        assert main(["rank-est", "--split", "1,2", ns]) == EXIT_PRECONDITION
+        assert "bad split" in capsys.readouterr().err
+        # a symmetric tensor's dims are n,m
+        assert main(["gen", "--kind", "sym", "--dims", "3", "--rank", "1", "-o", tns]) == EXIT_PRECONDITION
+        assert "--dims for sym must be n,m" in capsys.readouterr().err
         # unknown flag
         assert main(["approx-sym", "--bogus", tns]) == EXIT_PRECONDITION
         # --split belongs to rank-est only (the dense file is one approx-ns accepts), and bench has no scale

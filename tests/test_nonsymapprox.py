@@ -392,6 +392,8 @@ class TestRankOneClosedForm:
         arr[1, 1, 1] = 1.0  # every slice through index 0 vanishes
         with pytest.raises(ValueError):
             rank1_closed_form_ns(DenseTensor(arr))
+        with pytest.raises(ValueError, match="needs order >= 3"):
+            rank1_closed_form_ns(DenseTensor(np.ones((2, 2))))
 
 
 @pytest.mark.parametrize("dims,r", [((4, 3, 5), 1), ((3, 4, 2, 3), 4), ((60, 60, 60), 10)])

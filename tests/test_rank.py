@@ -68,6 +68,10 @@ class TestSplit:
             catalecticant_ns(t, split=((1,), (2,)))
         with pytest.raises(ValueError):
             catalecticant_ns(t, split=((1, 2), (2, 3)))
+        with pytest.raises(ValueError, match="needs order >= 2"):
+            catalecticant_ns(DenseTensor(np.ones(3)))
+        with pytest.raises(ValueError, match="needs order >= 2"):
+            catalecticant_sym(SymTensor.zeros(3, 1))
 
 
 class TestEstimateRank:

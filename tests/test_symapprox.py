@@ -201,6 +201,10 @@ class TestPipeline:
         res = approx_sym(F, 2, refine=True)
         assert not res.refined
         assert res.residual_gp <= 1e-10 * F.norm()
+        # the zero tensor: a zero coefficient, whose principal root is 0
+        res = approx_sym(SymTensor.zeros(4, 3), 1)
+        assert res.coefficients.tolist() == [0] and not res.u_ls.any()
+        assert res.residual_gp == 0 and not res.refined
 
     def test_rank_validation(self):
         F, _, _ = gen_random_sym(4, 3, 2, 0.0, seed=0)
@@ -255,6 +259,8 @@ class TestRankOneClosedForm:
         F.values[-1] = 1.0  # only the top-degree entry is nonzero
         with pytest.raises(ValueError):
             rank1_closed_form(F)
+        with pytest.raises(ValueError, match="needs order >= 2"):
+            rank1_closed_form(SymTensor.zeros(3, 1))
 
 
 def count_lstsq_calls(monkeypatch):

@@ -53,6 +53,12 @@ class TestDenseTensor:
         for op in (a.__add__, a.__sub__):
             with pytest.raises(ValueError, match="incompatible"):
                 op(DenseTensor(np.ones((3, 1, 2))))
+        # nor arithmetic with another kind, a number or an array
+        for other in (SymTensor.zeros(3, 3), 1, a.data):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                a + other
+            with pytest.raises(TypeError, match="unsupported operand"):
+                a - other
 
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
@@ -73,6 +79,8 @@ class TestSymTensor:
             v = t.entry(idx)
             for perm in itertools.permutations(idx):
                 assert t.entry(perm) == v
+        with pytest.raises(ValueError, match="expected 3 indices, got 2"):
+            t.entry((1, 1))
 
     def test_norm_matches_dense_oracle(self):
         for n, m, seed in [(3, 2, 0), (4, 3, 1), (3, 4, 2)]:
@@ -121,6 +129,11 @@ class TestSymTensor:
         assert np.allclose((3.0 * a).values, 3.0 * a.values)
         with pytest.raises(ValueError):
             a + random_sym(4, 3, 0)
+        for other in (a.to_dense(), 1, a.values):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                a + other
+            with pytest.raises(TypeError, match="unsupported operand"):
+                a - other
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -173,6 +186,8 @@ class TestRankOne:
         assert t.dims == (2, 2, 3)
         for i, j, k in itertools.product(range(2), range(2), range(3)):
             assert np.isclose(t.entry((i + 1, j + 1, k + 1)), u[i] * v[j] * w[k])
+        with pytest.raises(ValueError, match="needs at least one vector"):
+            outer_product([])
 
     def test_sym_power_matches_dense_outer(self):
         rng = np.random.default_rng(7)
