@@ -128,12 +128,12 @@ def _cmd_bench(args) -> int:
         s = rep.spec
         label = f"{s.kind} dims={s.dims} r={s.rank} eps={s.eps:g} trials={s.trials}"
         if s.eps > 0:
-            print(f"{label}: mrlerr={rep.mrlerr:.4f} mean_time={rep.mean_time:.3f}s")
+            name, value, spec = "mrlerr", rep.mrlerr, ".4f"
         else:
-            print(
-                f"{label}: max_rel_residual={rep.max_rel_residual:.3e} "
-                f"mean_time={rep.mean_time:.3f}s"
-            )
+            name, value, spec = "max_rel_residual", rep.max_rel_residual, ".3e"
+        # a row whose every trial failed has no value
+        text = "n/a" if value is None else format(value, spec)
+        print(f"{label}: {name}={text} mean_time={rep.mean_time:.3f}s")
         if rep.failures:
             print(f"  failures: {rep.failures}/{s.trials}")
     return EXIT_OK

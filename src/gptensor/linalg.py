@@ -7,13 +7,10 @@ fixed input bit pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "SchurPair",
     "lstsq_min_norm",
     "svd",
     "schur",
@@ -30,18 +27,6 @@ DEFAULT_RCOND = 1e-12
 
 class NumericalError(RuntimeError):
     """A factorization failed to converge."""
-
-
-@dataclass(frozen=True)
-class SchurPair:
-    """Unitary Q and upper-triangular T with Q T Q* equal to the input."""
-
-    Q: np.ndarray
-    T: np.ndarray
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.diag(self.T)
 
 
 def lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,11 +70,12 @@ def svd(A: np.ndarray) -> np.ndarray:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
 
 
-def schur(M: np.ndarray) -> SchurPair:
-    """Complex Schur decomposition M = Q T Q* with T exactly upper triangular.
+def schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur decomposition M = Q T Q*, returned as (Q, T).
 
-    No eigenvalue reordering is applied; diag(T) lists the eigenvalues in
-    whatever order the factorization produces.
+    Q is unitary and T exactly upper triangular.  No eigenvalue reordering is
+    applied; diag(T) lists the eigenvalues in whatever order the
+    factorization produces.
     """
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -98,7 +84,7 @@ def schur(M: np.ndarray) -> SchurPair:
         T, Q = scipy.linalg.schur(M, output="complex")
     except Exception as exc:  # scipy raises LinAlgError on QR iteration failure
         raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    return SchurPair(Q=Q, T=np.triu(T))
+    return Q, np.triu(T)
 
 
 def positive_combination(mats: np.ndarray, xi) -> np.ndarray:
@@ -118,10 +104,10 @@ def draw_weights(rng, K: int) -> np.ndarray:
     return w / w.sum()
 
 
-def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
+def joint_eigenvalues(mats: np.ndarray, pair):
     """Joint eigenvalues of a (nearly) commuting family of r x r matrices.
 
-    `pair` is the Schur decomposition of a positive combination of the
+    `pair` is the Schur decomposition (Q, T) of a positive combination of the
     (K, r, r) stack `mats` (see `positive_combination`).  When the family
     commutes its Schur vectors q_s triangularize every M_k, so the Rayleigh
     quotients q_s* M_k q_s are the eigenvalues of M_k belonging to the s-th
@@ -137,12 +123,12 @@ def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
     - low_confidence: eigengap < 1e-8 or schur_defect > 1e-6.
     """
     mats = np.asarray(mats, dtype=np.complex128)
-    Q = pair.Q
+    Q, T = pair
+    eig = np.diagonal(T)  # the eigenvalues of the combination
     T = Q.conj().T @ mats @ Q
     values = np.diagonal(T, axis1=1, axis2=2).T.copy()
     scale = max(1.0, np.linalg.norm(mats, axis=(1, 2)).max())
     defect = np.linalg.norm(np.tril(T, -1), axis=(1, 2)).max() / scale
-    eig = pair.eigenvalues
     gaps = np.abs(eig[:, None] - eig)
     np.fill_diagonal(gaps, np.inf)  # so r = 1 gives inf
     gap = gaps.min() / max(1.0, np.max(np.abs(eig)))
@@ -154,7 +140,7 @@ def joint_eigenvalues(mats: np.ndarray, pair: SchurPair):
     return values, diagnostics
 
 
-def joint_points(mats: np.ndarray, pair: SchurPair, sizes):
+def joint_points(mats: np.ndarray, pair, sizes):
     """`joint_eigenvalues` of `mats` read as affine points, one block per variable group.
 
     The K = sum(sizes) values of each Schur vector are cut into blocks of

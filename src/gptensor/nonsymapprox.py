@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg.blas
 
 from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
-from .refine import ApproxResult, refine_if_helps, refine_nonsym
+from .refine import ApproxResult, refine_nonsym
 from .tensors import DenseTensor, khatri_rao
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 RESIDUAL_SLAB_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NsGenMatrix:
     """Generating matrix for a dense tensor, grouped by mode.
 
@@ -60,7 +60,7 @@ class NsGenMatrix:
     column_residuals: dict[int, np.ndarray] = field(default=None)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, eq=False)
 class NsApproxResult(ApproxResult):
     """Dense result; `X_gp` and `X_opt` are built from the tuples on first access."""
 
@@ -286,8 +286,8 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     `mode_permutation` records the internal reordering.  `residual_gp` is
     computed from the factors, and the full tensors `X_gp` / `X_opt` only
     when first read.  When `refine` is set, a local nonlinear least-squares
-    polish is kept if it does not worsen the residual (see
-    `refine.refine_if_helps`).
+    polish is kept as `tuples_opt` if it does not worsen the residual (see
+    `ApproxResult.polish`).
     """
     check_shape_ns(F.dims, r)
     Fp, perm = mode_permute(F)
@@ -300,18 +300,13 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     permuted = [solve_first_mode(P, W).T, *modes]
     factors = [permuted[t] for t in np.argsort(perm)]
     tuples = [[a[:, s] for a in factors] for s in range(r)]
-    residual_gp = _slab_residual(F, factors)
-    diagnostics = dict(diagnostics, xi_seed=seed)
-
     result = NsApproxResult(
         rank=r,
         tuples=tuples,
-        residual_gp=residual_gp,
+        residual_gp=_slab_residual(F, factors),
         mode_permutation=perm,
-        diagnostics=diagnostics,
+        diagnostics=dict(diagnostics, xi_seed=seed),
     )
-    polished = refine_if_helps(refine_nonsym, F, tuples, residual_gp) if refine else None
-    if polished is not None:
-        result.refined = True
-        result.tuples_opt, result.residual_opt = polished
+    if refine:
+        result.tuples_opt = result.polish(refine_nonsym, F, tuples)
     return result

@@ -27,7 +27,7 @@ GAP_FACTOR = 100.0
 FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Singular values of a flattening plus the suggested approximating rank."""
 

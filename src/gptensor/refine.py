@@ -34,7 +34,6 @@ __all__ = [
     "ns_normal_map",
     "refine_sym",
     "refine_nonsym",
-    "refine_if_helps",
     "SKIP_REFINE_TOL",
     "MAX_ITERATIONS",
     "GRAD_TOL",
@@ -311,14 +310,13 @@ def refine_nonsym(F: DenseTensor, tuples):
     return unpack(c_opt), res_opt
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, eq=False)
 class ApproxResult:
-    """Fields that both tensor kinds report, all keyword-only.
+    """Fields that both tensor kinds report, all keyword-only; results compare by identity.
 
-    `refined` says whether `refine_if_helps` kept a polish of the fit
-    (`X_gp`, `residual_gp`); `X_opt` and `residual_opt` then hold the polish.
-    Each kind provides `X_gp` and `X_opt` (None unless refined) itself: the
-    symmetric result stores them, the dense one builds them on first access.
+    `refined` says whether `polish` kept a polish of the fit (`X_gp`,
+    `residual_gp`); `residual_opt` and `X_opt` then hold the polish.  Each kind
+    builds its `X_opt` (None unless refined) from its polished terms on first read.
     """
 
     rank: int
@@ -331,17 +329,17 @@ class ApproxResult:
     def best_residual(self) -> float:
         return self.residual_opt if self.refined else self.residual_gp
 
+    def polish(self, refine_fn, F, start):
+        """Polish `start` with `refine_fn` (refine_sym or refine_nonsym) when worthwhile.
 
-def refine_if_helps(refine_fn, F, start, residual_gp: float):
-    """Polish `start` with `refine_fn` (refine_sym or refine_nonsym) when worthwhile.
-
-    Returns None when residual_gp <= SKIP_REFINE_TOL * ||F|| or when the
-    polish, under the fixed solver rules, ends worse than residual_gp (beyond
-    1e-12); otherwise returns refine_fn's (start_opt, residual_opt).
-    """
-    if residual_gp <= SKIP_REFINE_TOL * F.norm():
-        return None
-    start_opt, residual_opt = refine_fn(F, start)
-    if residual_opt > residual_gp + 1e-12:
-        return None
-    return start_opt, residual_opt
+        Skipped when residual_gp <= SKIP_REFINE_TOL * ||F||; dropped when it ends
+        worse than residual_gp beyond 1e-12.  A kept polish sets `refined` and
+        `residual_opt` and returns the polished start; otherwise None is returned.
+        """
+        if self.residual_gp <= SKIP_REFINE_TOL * F.norm():
+            return None
+        start_opt, residual_opt = refine_fn(F, start)
+        if residual_opt > self.residual_gp + 1e-12:
+            return None
+        self.refined, self.residual_opt = True, residual_opt
+        return start_opt

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, power_table
-from .refine import ApproxResult, refine_if_helps, refine_sym
+from .refine import ApproxResult, refine_sym
 from .tensors import SymTensor, monomial_values
 
 __all__ = [
@@ -74,7 +74,7 @@ class MonomialBasisPair:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymGenMatrix:
     """Generating-matrix candidate: one column per shift monomial in B1."""
 
@@ -83,14 +83,20 @@ class SymGenMatrix:
     column_residuals: np.ndarray = field(default=None)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, eq=False)
 class SymApproxResult(ApproxResult):
+    """Symmetric result; `X_opt` is built from `u_opt` on first access."""
+
     points: np.ndarray  # (r, n), first coordinate 1
     coefficients: np.ndarray  # (r,)
     u_ls: np.ndarray  # (r, n): lambda^(1/m) scaled points
     X_gp: SymTensor
     u_opt: np.ndarray | None = None
-    X_opt: SymTensor | None = None
+
+    @cached_property
+    def X_opt(self) -> SymTensor | None:
+        X = self.X_gp
+        return None if self.u_opt is None else reconstruct_sym(self.u_opt, np.ones(self.rank), X.n, X.m)
 
 
 @lru_cache(maxsize=None)
@@ -279,15 +285,15 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
     """Symmetric rank-r approximation of F.
 
     Runs the generating-matrix pipeline; when `refine` is set, a local
-    nonlinear least-squares polish of the rank-1 terms is kept if it does not
-    worsen the residual (see `refine.refine_if_helps`).
+    nonlinear least-squares polish of the rank-1 terms is kept as `u_opt` if
+    it does not worsen the residual (see `ApproxResult.polish`).  `X_opt` is
+    built from `u_opt` only when first read.
     """
     check_shape_sym(F.n, F.m, r)
     gm = solve_generating_matrix(F, r)
     points, diagnostics = extract_points(gm, draw_weights(np.random.default_rng(seed), F.nbar))
     lam, fitted, fit_cond = solve_coefficients(F, points)
     X_gp = SymTensor(F.n, F.m, fitted)
-    residual_gp = (F - X_gp).norm()
     u_ls = np.array([_principal_root(l, F.m) * v for l, v in zip(lam, points)], dtype=np.complex128)
     result = SymApproxResult(
         rank=r,
@@ -295,13 +301,9 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
         coefficients=np.asarray(lam),
         u_ls=u_ls,
         X_gp=X_gp,
-        residual_gp=residual_gp,
+        residual_gp=(F - X_gp).norm(),
         diagnostics=dict(diagnostics, fit_cond=fit_cond, xi_seed=seed),
     )
-
-    polished = refine_if_helps(refine_sym, F, u_ls, residual_gp) if refine else None
-    if polished is not None:
-        result.refined = True
-        result.u_opt, result.residual_opt = polished
-        result.X_opt = reconstruct_sym(result.u_opt, np.ones(r), F.n, F.m)
+    if refine:
+        result.u_opt = result.polish(refine_sym, F, u_ls)
     return result

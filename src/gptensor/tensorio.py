@@ -187,7 +187,8 @@ def read_tensor(path):
     read by the line loop from its first entry line instead, to name the
     fault or to read syntax that only Python accepts.  Of several faults the
     first malformed line is reported, then an out-of-range entry, then the
-    first line that repeats an earlier entry.
+    first line that repeats an earlier entry.  A header whose tensor cannot be
+    stored is rejected before any entry is read.
     """
     with open(path, encoding="utf-8") as fh:
         header, skip = _find_header(fh)
@@ -195,6 +196,13 @@ def read_tensor(path):
         if kind == "sym" and len(set(dims)) != 1:
             raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
         count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
+        size = math.comb(dims[0] - 1 + order, order) if kind == "sym" else math.prod(dims)
+        try:
+            if size > np.iinfo(np.int64).max // 16:  # past the int64 byte offsets of 16-byte entries
+                raise MemoryError
+            flat = np.zeros(size, dtype=np.complex128)
+        except MemoryError:
+            raise FormatError(f"tensor of {size} entries is too large to store") from None
         dtype = np.dtype([("i", np.int64, count), ("v", np.float64, 2)])
         table = _parse_table(path, skip, dtype)
         if table is None:
@@ -211,7 +219,7 @@ def read_tensor(path):
             pos = grlex_position(n - 1, m, rows)
         except KeyError as exc:
             raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
-        size, where = math.comb(n - 1 + m, m), "for power vector"
+        where = "for power vector"
     else:
         index = rows - 1
         # one unsigned comparison: an index below 0 wraps past every dimension
@@ -220,12 +228,11 @@ def read_tensor(path):
             i = int(bad.argmax())
             raise FormatError(f"index {wide.get(i, tuple(rows[i].tolist()))} out of range for dims {dims}")
         pos = np.ravel_multi_index(tuple(index.T), dims)
-        size, where = math.prod(dims), "at index"
+        where = "at index"
     if np.bincount(pos, minlength=size).max() > 1:
         first = np.unique(pos, return_index=True)[1]
         repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
         raise FormatError(f"duplicate entry {where} {tuple(rows[repeat].tolist())}")
-    flat = np.zeros(size, dtype=np.complex128)
     flat[pos] = values
     return SymTensor(n, m, flat) if kind == "sym" else DenseTensor(flat.reshape(dims))
 

@@ -25,9 +25,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTensor:
-    """Order-m complex tensor with explicit dimensions, row-major storage."""
+    """Order-m complex tensor with explicit dimensions, row-major storage; compared by identity."""
 
     kind = "dense"
     data: np.ndarray

@@ -8,6 +8,8 @@ import pytest
 import gptensor
 from gptensor import refine
 from gptensor.generate import gen_random_ns, gen_random_sym
+from gptensor.nonsymapprox import solve_generating_matrix_ns
+from gptensor.symapprox import solve_generating_matrix
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -77,3 +79,21 @@ def test_readme_refinement_step_names_every_lm_rule():
     exported = {name for name in refine.__all__ if name.isupper()}
     assert refinement_step_constants() == exported
     assert exported == {"SKIP_REFINE_TOL", "MAX_ITERATIONS", "GRAD_TOL", "STEP_TOL", "INIT_DAMPING"}
+
+
+def test_array_holding_objects_compare_by_identity():
+    """Results, spectra and generating matrices of one input are distinct objects, never an error."""
+    F, _, _ = gen_random_sym(5, 3, 2, 1e-2, seed=3)
+    G, _, _ = gen_random_ns((4, 3, 3), 2, 1e-2, seed=3)
+    makers = [
+        lambda: gptensor.approx_sym(F, 2, seed=1),
+        lambda: gptensor.approx_nonsym(G, 2, seed=1),
+        lambda: gptensor.spectrum_sym(F),
+        lambda: gptensor.spectrum_ns(G),
+        lambda: solve_generating_matrix(F, 2),
+        lambda: solve_generating_matrix_ns(G, 2),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2

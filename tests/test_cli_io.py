@@ -695,6 +695,55 @@ class TestCli:
         assert all(metric in row and "mean_time=" in row for row in rows)
         assert not any("failures:" in line for line in lines)
 
+    @pytest.mark.parametrize("preset,metric", [("table1", "mrlerr=n/a "), ("table2", "max_rel_residual=n/a ")])
+    def test_bench_row_whose_every_trial_failed(self, monkeypatch, capsys, preset, metric):
+        def fails(*args, **kwargs):
+            raise ValueError("no solve")
+
+        monkeypatch.setattr(experiments, "approx_sym", fails)
+        assert main(["bench", "--preset", preset]) == EXIT_OK
+        out = capsys.readouterr()
+        rows = out.out.splitlines()[2:]
+        assert rows[0::2] and all(metric in row for row in rows[0::2])
+        assert rows[1::2] == ["  failures: 20/20"] * len(rows[0::2])
+        assert "Traceback" not in out.err
+
+    def test_bench_row_with_one_failed_trial(self, monkeypatch, capsys):
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise ValueError("no solve")
+            return approx_sym(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "approx_sym", first_fails)
+        assert main(["bench", "--preset", "table2"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 3 and rows[1] == "  failures: 1/20"
+        assert "max_rel_residual=n/a" not in rows[0] and "max_rel_residual=" in rows[2]
+
+    @pytest.mark.parametrize(
+        "command,header,entries",
+        [
+            # int64 offsets address this one, but no machine can hold it
+            ("approx-ns", "dense order=3 dims=131072,131072,131072", 2**51),
+            ("approx-sym", "sym order=40 dims=" + ",".join(["60"] * 40), math.comb(99, 40)),
+            ("approx-ns", "dense order=3 dims=4000000000,4000000000,4000000000", 64 * 10**27),
+        ],
+        ids=["dense-2^51", "sym-order-40", "dense-past-int64"],
+    )
+    def test_header_too_large_to_store(self, tmp_path, capsys, command, header, entries):
+        # every size here is at least 2^50 entries, so its allocation fails at once
+        assert entries >= 2**50
+        tns = tmp_path / "t.tns"
+        tns.write_text(f"TENSOR v1 {header}\n1 1 1 1 0\n")
+        assert main([command, "--rank", "2", str(tns)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err == f"error: tensor of {entries} entries is too large to store\n"
+        with pytest.raises(FormatError, match=f"tensor of {entries} entries"):
+            read_tensor(tns)
+
     def test_report_records_fit_cond(self, tmp_path):
         tns, rep = str(tmp_path / "t.tns"), str(tmp_path / "t.rep")
         main(["gen", "--kind", "sym", "--dims", "6,3", "--rank", "3", "--eps", "0.01", "--seed", "5", "-o", tns])

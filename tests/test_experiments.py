@@ -204,3 +204,19 @@ class TestPresets:
         specs = experiments._PRESETS[name]["specs"]
         assert len({s.eps for s in specs}) == len(specs) > 1
         assert len({s.seed for s in specs}) == len(specs)
+
+
+@pytest.mark.parametrize("kind", ["sym", "dense"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_unrefined_error_is_proportional_to_the_noise(kind, seed):
+    """The paper's claim: for a fixed instance, ||F - X_gp|| / ||E|| does not depend on eps."""
+    kappas = []
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        if kind == "sym":
+            F, _, E = gen_random_sym(10, 3, 5, eps, seed)
+            res = approx_sym(F, 5, refine=False, seed=seed)
+        else:
+            F, _, E = gen_random_ns((20, 20, 20), 10, eps, seed)
+            res = approx_nonsym(F, 10, refine=False, seed=seed)
+        kappas.append(res.residual_gp / E.norm())
+    assert (max(kappas) - min(kappas)) / min(kappas) < 0.01, kappas

@@ -380,7 +380,7 @@ class TestAgainstRealEmbedding:
         assert (calls["residual"] > calls["normal"]) == rejects
 
 
-class TestRefineIfHelps:
+class TestPolish:
     def test_polish_that_ends_worse_is_dropped(self):
         F, _, _ = gen_random_sym(4, 3, 2, 0.1, seed=11)
         start = np.ones((2, 4), dtype=complex)
@@ -391,11 +391,19 @@ class TestRefineIfHelps:
             return u, residual_gp + 2e-12
 
         residual_gp = F.norm()
-        assert refine.refine_if_helps(refine_fn, F, start, residual_gp) is None
+        result = refine.ApproxResult(rank=2, residual_gp=residual_gp)
+        assert result.polish(refine_fn, F, start) is None
         assert calls == [(F, start)]
+        assert not result.refined and result.residual_opt is None
         # within 1e-12 of residual_gp the polish is kept
-        kept = refine.refine_if_helps(lambda G, u: (u, residual_gp + 5e-13), F, start, residual_gp)
-        assert kept[0] is start and kept[1] == residual_gp + 5e-13
+        result = refine.ApproxResult(rank=2, residual_gp=residual_gp)
+        assert result.polish(lambda G, u: (u, residual_gp + 5e-13), F, start) is start
+        assert result.refined and result.residual_opt == residual_gp + 5e-13
+        assert result.best_residual == residual_gp + 5e-13
+        # at most SKIP_REFINE_TOL * ||F|| the polish is not even tried
+        result = refine.ApproxResult(rank=2, residual_gp=refine.SKIP_REFINE_TOL * F.norm())
+        assert result.polish(refine_fn, F, start) is None
+        assert len(calls) == 1 and not result.refined
 
 
 class TestSolverCore:

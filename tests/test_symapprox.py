@@ -168,6 +168,25 @@ class TestPipeline:
         X = reconstruct_sym(res.points, res.coefficients, F.n, F.m)
         assert np.allclose(X.values, res.X_gp.values)
 
+    @pytest.mark.parametrize("case", ["polished", "exact", "unrefined"])
+    def test_x_opt_built_on_first_access(self, monkeypatch, case):
+        # the exact tensor skips the polish; refine=False never tries it
+        F = named_tensor("recip3") if case == "polished" else gen_random_sym(5, 3, 2, 0.0, seed=8)[0]
+
+        def forbidden(*args):
+            raise AssertionError("approx_sym built a full tensor")
+
+        monkeypatch.setattr(symapprox, "reconstruct_sym", forbidden)
+        res = approx_sym(F, 2, refine=case != "unrefined")
+        monkeypatch.undo()
+        assert res.refined == (case == "polished")
+        if res.refined:
+            want = reconstruct_sym(res.u_opt, np.ones(2), F.n, F.m)
+            assert res.X_opt.values.tobytes() == want.values.tobytes()
+            assert res.X_opt is res.X_opt
+        else:
+            assert res.X_opt is None
+
     def test_coefficient_fit_is_optimal_projection(self):
         # residual orthogonal to the span of the weighted monomial columns
         F, _, _ = gen_random_sym(4, 3, 2, 0.01, seed=6)

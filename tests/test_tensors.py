@@ -60,6 +60,13 @@ class TestDenseTensor:
             with pytest.raises(TypeError, match="unsupported operand"):
                 a - other
 
+    def test_compares_and_hashes_by_identity(self):
+        # as SymTensor does: == of two equal arrays would ask numpy for one truth value
+        a = DenseTensor(np.arange(8.0).reshape(2, 2, 2))
+        b = DenseTensor(a.data.copy())
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             DenseTensor(np.empty((2, 0, 3)))
