@@ -68,7 +68,11 @@ def _solve_dense(F, args):
     if res.refined:
         for block, tup in zip(blocks, res.tuples):
             block.update({f"gp_mode{t + 1}": v for t, v in enumerate(tup)})
-    return res, {"mode_permutation": tuple(p + 1 for p in res.mode_permutation)}, blocks
+    extras = {
+        "mode_permutation": tuple(p + 1 for p in res.mode_permutation),
+        "outside_gain": res.diagnostics["outside_gain"],
+    }
+    return res, extras, blocks
 
 
 def _cmd_approx(args) -> int:

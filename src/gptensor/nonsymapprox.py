@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.linalg.blas
 
 from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
-from .refine import ApproxResult, refine_nonsym
+from .refine import FULL_FINISH_GAIN, ApproxResult, refine_nonsym
 from .tensors import DenseTensor, khatri_rao
 
 __all__ = [
@@ -253,6 +253,69 @@ def _slab_residual(F: DenseTensor, factors) -> float:
     return math.sqrt(total)
 
 
+def _outside_gain(Fp: DenseTensor, factors, bases, residual: float) -> float:
+    """2 pred / ||Fp - X||^2 for factors (n_t, r) of Fp that lie in range U_t where U_t exists.
+
+    pred is the Gauss-Newton decrease of ||Fp - X||^2 / 2 along the directions
+    outside range U_t of every compressed mode t.  There J^H J is block
+    diagonal, mode t's block Gamma_t (x) I with Gamma_t the Hadamard product of
+    the other modes' Grams: a cross block pairs such a direction with A_t,
+    whose columns lie in range U_t.  The gradient there is
+    Gc_t = -(I - U_t U_t^H) Fp_(t) conj(khatri_rao of the other modes), since
+    the model's unfolding lies in range U_t.  Mode 1, the largest, is
+    compressed whenever any mode is; every MTTKRP reads Fp through its mode-1
+    unfolding, a view, and the other modes' start from conj(A_1)^T Fp_(1),
+    r / n_1 of Fp.  Returns inf when some Gamma_t is singular.
+    """
+    m = len(factors)
+    unfolded = Fp.data.reshape(Fp.dims[0], -1)
+    grams = [a.conj().T @ a for a in factors]
+    # axes (s, modes 2..m): the labels of the einsum below
+    partial = (factors[0].conj().T @ unfolded).reshape(-1, *Fp.dims[1:])
+    pred = 0.0
+    for t, U in enumerate(bases):
+        if U is None:
+            continue
+        if t == 0:
+            M = unfolded @ khatri_rao(factors[1:]).conj()
+        else:
+            others = [x for v in range(1, m) if v != t for x in (factors[v].conj(), [v, 0])]
+            M = np.einsum(partial, list(range(m)), *others, [t, 0])
+        Gc = U @ (U.conj().T @ M) - M
+        gamma = reduce(np.multiply, [grams[v] for v in range(m) if v != t])
+        try:
+            pred += 0.5 * np.vdot(Gc.T, np.linalg.solve(gamma, Gc.T)).real
+        except np.linalg.LinAlgError:
+            return math.inf
+    return 2.0 * pred / residual**2 if residual > 0 else 0.0
+
+
+def _refine_on_core(F: DenseTensor, Fp: DenseTensor, perm, C: DenseTensor, bases, tuples):
+    """`refine_nonsym` on the core C, lifted back to F and finished there when that can gain.
+
+    The terms' mode vectors are permuted as Fp, projected by U_t^H, polished
+    on C with r * sum_t min(n_t, r) unknowns, lifted by U_t and returned in
+    F's mode order.  A full-size `refine_nonsym(F, ...)` then continues from
+    the lifted terms only when `_outside_gain` exceeds FULL_FINISH_GAIN.
+    With no compressed mode, C is Fp and this is `refine_nonsym(F, tuples)`.
+    Returns (tuples_opt, residual_opt on F, outside_gain).
+    """
+    if all(U is None for U in bases):
+        return (*refine_nonsym(F, tuples), 0.0)
+    permuted = ([tup[p] for p in perm] for tup in tuples)
+    core = [[v if U is None else U.conj().T @ v for U, v in zip(bases, tup)] for tup in permuted]
+    core_opt, _ = refine_nonsym(C, core)
+    lifted = [np.column_stack(vs) for vs in zip(*core_opt)]
+    lifted = [a if U is None else U @ a for U, a in zip(bases, lifted)]
+    factors = [lifted[t] for t in np.argsort(perm)]
+    residual = _slab_residual(F, factors)
+    gain = _outside_gain(Fp, lifted, bases, residual)
+    tuples_opt = [[a[:, s] for a in factors] for s in range(len(tuples))]
+    if gain > FULL_FINISH_GAIN:
+        tuples_opt, residual = refine_nonsym(F, tuples_opt)
+    return tuples_opt, residual, gain
+
+
 def rank1_closed_form_ns(F: DenseTensor):
     """Closed-form rank-1 tuple; equals the full pipeline at r = 1.
 
@@ -287,7 +350,10 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     computed from the factors, and the full tensors `X_gp` / `X_opt` only
     when first read.  When `refine` is set, a local nonlinear least-squares
     polish is kept as `tuples_opt` if it does not worsen the residual (see
-    `ApproxResult.polish`).
+    `ApproxResult.polish`).  The polish runs on the Tucker core and finishes
+    on the full tensor only when a second-order test says it can gain there
+    (`_refine_on_core`); its ratio is `diagnostics["outside_gain"]`, NaN
+    when no polish ran.
     """
     check_shape_ns(F.dims, r)
     Fp, perm = mode_permute(F)
@@ -305,8 +371,14 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
         tuples=tuples,
         residual_gp=_slab_residual(F, factors),
         mode_permutation=perm,
-        diagnostics=dict(diagnostics, xi_seed=seed),
+        diagnostics=dict(diagnostics, xi_seed=seed, outside_gain=math.nan),
     )
     if refine:
-        result.tuples_opt = result.polish(refine_nonsym, F, tuples)
+
+        def refine_on_core(F, start):
+            start_opt, residual_opt, gain = _refine_on_core(F, Fp, perm, C, bases, start)
+            result.diagnostics["outside_gain"] = gain
+            return start_opt, residual_opt
+
+        result.tuples_opt = result.polish(refine_on_core, F, tuples)
     return result

@@ -39,6 +39,7 @@ __all__ = [
     "GRAD_TOL",
     "STEP_TOL",
     "INIT_DAMPING",
+    "FULL_FINISH_GAIN",
 ]
 
 # Refinement is skipped when the unrefined residual is at most this fraction
@@ -53,6 +54,11 @@ MAX_ITERATIONS = 500
 GRAD_TOL = 1e-10
 STEP_TOL = 1e-12
 INIT_DAMPING = 1e-3
+
+# The dense polish runs on the Tucker core; it is finished on the full tensor
+# only when the Gauss-Newton decrease available outside the core's subspace
+# exceeds this fraction of half the squared residual.
+FULL_FINISH_GAIN = 1e-6
 
 
 def levenberg_marquardt(c0: np.ndarray, residual, normal):

@@ -11,7 +11,7 @@ from gptensor import cli, experiments, tensorio
 from gptensor.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.monomials import grlex_position
-from gptensor.nonsymapprox import reconstruct_ns
+from gptensor.nonsymapprox import approx_nonsym, reconstruct_ns
 from gptensor.symapprox import approx_sym, reconstruct_sym
 from gptensor.tensorio import (
     FormatError,
@@ -683,7 +683,7 @@ class TestCli:
         report = parse_report(rep)
         assert report["meta"]["dims"] == (3, 5, 4)
         assert report["result"]["mode_permutation"] == (2, 1, 3)
-        assert set(report["result"]) == {"residual_gp", "refined", "xi_seed", "mode_permutation"}
+        assert set(report["result"]) == {"residual_gp", "refined", "xi_seed", "mode_permutation", "outside_gain"}
 
     @pytest.mark.parametrize("preset,metric", [("table1", "mrlerr="), ("table2", "max_rel_residual=")])
     def test_bench_preset_lines(self, capsys, preset, metric):
@@ -751,6 +751,20 @@ class TestCli:
         want = approx_sym(read_tensor(tns), 3, refine=False, seed=2).diagnostics["fit_cond"]
         assert want >= 1.0
         assert parse_report(rep)["result"]["fit_cond"] == want
+
+    @pytest.mark.parametrize("flags", [[], ["--no-refine"]], ids=["refined", "unrefined"])
+    def test_report_records_outside_gain(self, tmp_path, flags):
+        tns, rep = str(tmp_path / "t.tns"), str(tmp_path / "t.rep")
+        main(["gen", "--kind", "ns", "--dims", "6,5,4", "--rank", "2", "--eps", "0.1", "--seed", "5", "-o", tns])
+        assert main(["approx-ns", "--rank", "2", "--seed", "2", *flags, tns, "-o", rep]) == EXIT_OK
+        res = approx_nonsym(read_tensor(tns), 2, refine=not flags, seed=2)
+        want, got = res.diagnostics["outside_gain"], parse_report(rep)["result"]["outside_gain"]
+        assert res.refined == (not flags)
+        # NaN when LM did not run; otherwise a positive ratio, read back bit for bit
+        if flags:
+            assert math.isnan(want) and math.isnan(got)
+        else:
+            assert want > 0 and got == want
 
     @pytest.mark.parametrize("module,name", [(np.linalg, "svd"), (np.linalg, "qr"), (scipy.linalg, "schur")])
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys, module, name):

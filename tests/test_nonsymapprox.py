@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gptensor import nonsymapprox
+from gptensor import nonsymapprox, refine
 from gptensor.generate import gen_random_ns, named_tensor
 from gptensor.linalg import joint_points, lstsq_min_norm
 from gptensor.nonsymapprox import (
@@ -19,6 +19,7 @@ from gptensor.nonsymapprox import (
     solve_generating_matrix_ns,
     truncated_core,
 )
+from gptensor.refine import FULL_FINISH_GAIN, ns_normal_map, ns_residual_map, refine_nonsym
 from gptensor.tensors import DenseTensor, khatri_rao, outer_product
 
 
@@ -298,6 +299,19 @@ class TestDenseResult:
             tracemalloc.stop()
         assert peak - base < 0.5 * F.data.nbytes
 
+    def test_refined_extra_memory_is_a_fraction_of_the_tensor(self):
+        # LM runs on the 5^3 core; the outside gain reads F through views
+        F, _, _ = gen_random_ns((80, 80, 80), 5, 1e-2, seed=19)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = approx_nonsym(F, 5, refine=True, seed=19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.refined and res.diagnostics["outside_gain"] < FULL_FINISH_GAIN
+        assert peak - base < 0.5 * F.data.nbytes
+
 
 class TestCore:
     @staticmethod
@@ -367,6 +381,129 @@ class TestCore:
         res = approx_nonsym(F, 10, seed=16)
         assert res.residual_gp <= 1e-11 * F.norm()
         assert not res.refined
+
+
+def spy_on_polish(monkeypatch):
+    """Record the dims of every `ns_normal_map` and the (F, start, result) of every `refine_nonsym`."""
+    seen = {"normal": [], "refine": []}
+
+    def normal_map(F, r):
+        seen["normal"].append(F.dims)
+        return ns_normal_map(F, r)
+
+    def refine_fn(F, tuples):
+        out = refine_nonsym(F, tuples)
+        seen["refine"].append((F, tuples, out))
+        return out
+
+    monkeypatch.setattr(refine, "ns_normal_map", normal_map)
+    monkeypatch.setattr(nonsymapprox, "refine_nonsym", refine_fn)
+    return seen
+
+
+def spy_on_outside_gain(monkeypatch):
+    """Record the arguments and value of every `_outside_gain` call."""
+    seen = []
+    gain = nonsymapprox._outside_gain
+
+    def spy(Fp, factors, bases, residual):
+        seen.append((Fp, factors, bases, residual, gain(Fp, factors, bases, residual)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(nonsymapprox, "_outside_gain", spy)
+    return seen
+
+
+def outside_oracle(Fp, factors, bases):
+    """1/2 gc^H (Q^H H Q)^{-1} gc from `ns_normal_map`, Q spanning the directions outside range U_t."""
+    r = factors[0].shape[1]
+    residual, _, _ = ns_residual_map(Fp, r)
+    c = np.concatenate([np.concatenate([a[:, s] for a in factors]) for s in range(r)])
+    H, g = ns_normal_map(Fp, r)(c, residual(c))
+    offsets = np.cumsum((0,) + Fp.dims)
+    cols = []
+    for s, (t, U) in itertools.product(range(r), enumerate(bases)):
+        if U is not None:
+            n = Fp.dims[t]
+            block = np.zeros((len(c), n - r), dtype=complex)
+            start = s * offsets[-1] + offsets[t]
+            block[start : start + n] = np.linalg.svd(np.eye(n) - U @ U.conj().T)[0][:, : n - r]
+            cols.append(block)
+    Q = np.hstack(cols)
+    gc = Q.conj().T @ g
+    return 0.5 * np.vdot(gc, np.linalg.solve(Q.conj().T @ H @ Q, gc)).real
+
+
+class TestCorePolish:
+    @pytest.mark.parametrize(
+        "dims,r",
+        # a mode kept whole, a permuted input, and every mode compressed
+        [((6, 5, 4), 3), ((7, 6, 5, 2), 3), ((5, 8, 4), 2), ((8, 7, 6, 5), 4)],
+    )
+    def test_outside_gain_is_the_gauss_newton_decrease(self, monkeypatch, dims, r):
+        seen = spy_on_outside_gain(monkeypatch)
+        # a noise of norm 1 leaves enough outside the core for the oracle's
+        # J^H r, formed from F - X, to resolve pred
+        F, _, _ = gen_random_ns(dims, r, 1.0, seed=sum(dims))
+        res = approx_nonsym(F, r, seed=3)
+        (Fp, factors, bases, residual, gain), = seen
+        assert res.diagnostics["outside_gain"] == gain
+        pred = 0.5 * gain * residual**2
+        assert abs(pred - outside_oracle(Fp, factors, bases)) <= 1e-10 * pred
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noisy_inputs_polish_on_the_core(self, monkeypatch, eps, seed):
+        F, _, _ = gen_random_ns((10, 10, 10), 5, eps, seed=seed)
+        seen = spy_on_polish(monkeypatch)
+        res = approx_nonsym(F, 5, seed=seed)
+        monkeypatch.undo()
+        assert res.refined and seen["normal"] and F.dims not in seen["normal"]
+        assert 0 < res.diagnostics["outside_gain"] < FULL_FINISH_GAIN
+        _, full = refine_nonsym(F, res.tuples)
+        assert abs(res.best_residual - full) <= 1e-6 * full
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_recip4_takes_the_full_size_finish(self, monkeypatch, r):
+        F = named_tensor("recip4")
+        seen = spy_on_polish(monkeypatch)
+        res = approx_nonsym(F, r)
+        monkeypatch.undo()
+        assert res.diagnostics["outside_gain"] > FULL_FINISH_GAIN
+        (core, _, _), (full, start, (_, finished)) = seen["refine"]
+        assert core.dims == (r,) * 4 and full is F and res.best_residual == finished
+        # the same value as a full-size polish from the unrefined terms, to criterion 3's digits
+        _, oracle = refine_nonsym(F, res.tuples)
+        assert abs(finished - oracle) <= 1e-6 * oracle and f"{finished:.4g}" == f"{oracle:.4g}"
+        if r == 2:
+            # the second-order test predicted the finish's gain
+            lifted = np.linalg.norm(F.data - reconstruct_ns(start).data)
+            pred = 0.5 * res.diagnostics["outside_gain"] * lifted**2
+            drop = 0.5 * (lifted**2 - finished**2)
+            assert abs(pred - drop) <= 0.1 * drop
+
+    @pytest.mark.parametrize("dims,r", [((5, 4, 3), 1), ((4, 4, 4), 4)])
+    def test_no_compressed_mode_is_the_full_size_polish(self, dims, r):
+        F, _, _ = gen_random_ns(dims, r, 1e-1, seed=14)
+        res = approx_nonsym(F, r, seed=14)
+        assert res.refined and res.diagnostics["outside_gain"] == 0.0
+        tuples_opt, residual_opt = refine_nonsym(F, res.tuples)
+        assert res.residual_opt == residual_opt
+        assert all(np.array_equal(a, b) for ta, tb in zip(res.tuples_opt, tuples_opt) for a, b in zip(ta, tb))
+
+    def test_gain_is_nan_without_lm(self):
+        F, _, _ = gen_random_ns((6, 5, 4), 2, 1e-1, seed=4)
+        assert np.isnan(approx_nonsym(F, 2, refine=False).diagnostics["outside_gain"])
+        G, _, _ = gen_random_ns((6, 5, 4), 2, 0.0, seed=4)
+        res = approx_nonsym(G, 2)
+        assert not res.refined and np.isnan(res.diagnostics["outside_gain"])
+
+    def test_refined_deterministic_per_seed(self):
+        F, _, _ = gen_random_ns((7, 6, 5), 3, 1e-2, seed=9)
+        a, b = (approx_nonsym(F, 3, seed=21) for _ in range(2))
+        assert a.refined and a.residual_opt == b.residual_opt
+        assert a.diagnostics["outside_gain"] == b.diagnostics["outside_gain"]
+        assert all(np.array_equal(u, v) for ta, tb in zip(a.tuples_opt, b.tuples_opt) for u, v in zip(ta, tb))
 
 
 class TestRankOneClosedForm:
