@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
+from scipy.linalg.lapack import zposv
 
 from .monomials import grlex_position, power_table
 from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
@@ -36,7 +37,7 @@ __all__ = [
     "refine_nonsym",
     "SKIP_REFINE_TOL",
     "MAX_ITERATIONS",
-    "GRAD_TOL",
+    "FTOL",
     "STEP_TOL",
     "INIT_DAMPING",
     "FULL_FINISH_GAIN",
@@ -48,10 +49,11 @@ __all__ = [
 SKIP_REFINE_TOL = 1e-10
 
 # Fixed Levenberg-Marquardt rules: stop after MAX_ITERATIONS iterations, when
-# the largest real gradient entry is at most GRAD_TOL or when a step is at most
-# STEP_TOL * (1 + ||c||); the first damping is INIT_DAMPING * max diag(J^H J).
+# an accepted step's actual and predicted decreases are both at most FTOL times
+# the cost (the relative-reduction test of MINPACK, More 1978) or when a step is
+# at most STEP_TOL * (1 + ||c||); the first damping is INIT_DAMPING * max diag(J^H J).
 MAX_ITERATIONS = 500
-GRAD_TOL = 1e-10
+FTOL = 1e-8
 STEP_TOL = 1e-12
 INIT_DAMPING = 1e-3
 
@@ -66,9 +68,12 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
 
     `residual(c)` returns a complex vector r, and `normal(c, r)` the pair
     (J^H J, J^H r) for the complex Jacobian J of the residual at c.  It is
-    called at the start and after every accepted step.
-    A step is taken only when it lowers the cost, so the last iterate is the best.
-    Returns (c, ||residual(c)||, iterations).
+    called at the start and after every accepted step but a last one that
+    meets the FTOL test.  A step is taken only when it lowers the cost, so the
+    last iterate is the best.  Each step is one in-place Cholesky solve of a
+    copy of J^H J + mu I; a matrix that is not positive definite raises mu.
+    Returns (c, ||residual(c)||, iterations, stop), where stop is "ftol",
+    "step" or "max_iter".
     """
     c = np.array(c0, dtype=np.complex128)
     r = residual(c)
@@ -76,20 +81,20 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
     cost = 0.5 * np.vdot(r, r).real
     mu = INIT_DAMPING * max(np.max(H.diagonal().real), np.finfo(float).tiny)
     nu = 2.0
-    iters = 0
+    iters, stop = 0, "max_iter"
     for iters in range(1, MAX_ITERATIONS + 1):
-        # the real gradient over (Re c, Im c) is (Re g, Im g)
-        if np.max(np.abs(g.view(np.float64))) <= GRAD_TOL:
-            break
-        damped = H.copy()
+        damped = np.array(H, order="F")
         damped[np.diag_indices_from(damped)] += mu
-        try:
-            step = np.linalg.solve(damped, -g)
-        except np.linalg.LinAlgError:
+        # zposv factors `damped` in place, reading only its upper triangle;
+        # neither the copy nor its factor outlives the solve
+        step, info = zposv(damped, -g, overwrite_a=1)[1:]
+        del damped
+        if info > 0:
             mu *= nu
             nu *= 2.0
             continue
         if np.linalg.norm(step) <= STEP_TOL * (1.0 + np.linalg.norm(c)):
+            stop = "step"
             break
         c_new = c + step
         r_new = residual(c_new)
@@ -97,7 +102,13 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
         predicted = 0.5 * np.vdot(step, mu * step - g).real
         rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
         if cost_new < cost:
+            converged = max(cost - cost_new, predicted) <= FTOL * cost
             c, r, cost = c_new, r_new, cost_new
+            if converged:
+                stop = "ftol"
+                break
+            # the old J^H J goes first, so at most two h x h matrices are alive
+            del H
             H, g = normal(c, r)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             mu = max(mu, 1e-300)
@@ -105,7 +116,7 @@ def levenberg_marquardt(c0: np.ndarray, residual, normal):
         else:
             mu *= nu
             nu *= 2.0
-    return c, float(np.sqrt(2.0 * cost)), iters
+    return c, float(np.sqrt(2.0 * cost)), iters, stop
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +200,7 @@ def refine_sym(F: SymTensor, u):
     U0 = np.asarray(u, dtype=np.complex128)
     r, n = U0.shape
     residual, _ = sym_residual_map(F, r)
-    c_opt, res_opt, _ = levenberg_marquardt(U0.ravel(), residual, sym_normal_map(F, r))
+    c_opt, res_opt, *_ = levenberg_marquardt(U0.ravel(), residual, sym_normal_map(F, r))
     return c_opt.reshape(r, n), res_opt
 
 
@@ -312,7 +323,7 @@ def refine_nonsym(F: DenseTensor, tuples):
     r = len(tuples)
     residual, _, unpack = ns_residual_map(F, r)
     c0 = np.concatenate([np.concatenate(_balanced(tup)) for tup in tuples])
-    c_opt, res_opt, _ = levenberg_marquardt(c0, residual, ns_normal_map(F, r))
+    c_opt, res_opt, *_ = levenberg_marquardt(c0, residual, ns_normal_map(F, r))
     return unpack(c_opt), res_opt
 
 

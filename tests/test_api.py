@@ -78,7 +78,7 @@ def test_readme_refinement_step_names_every_lm_rule():
     """A rule deleted from `refine` cannot stay documented, nor a new one go undocumented."""
     exported = {name for name in refine.__all__ if name.isupper()}
     assert refinement_step_constants() == exported
-    assert exported == {"SKIP_REFINE_TOL", "MAX_ITERATIONS", "GRAD_TOL", "STEP_TOL", "INIT_DAMPING", "FULL_FINISH_GAIN"}
+    assert exported == {"SKIP_REFINE_TOL", "MAX_ITERATIONS", "FTOL", "STEP_TOL", "INIT_DAMPING", "FULL_FINISH_GAIN"}
 
 
 def test_array_holding_objects_compare_by_identity():

@@ -482,6 +482,11 @@ class TestCorePolish:
             drop = 0.5 * (lifted**2 - finished**2)
             assert abs(pred - drop) <= 0.1 * drop
 
+    def test_recip4_finish_is_not_cut_short_by_a_small_residual(self):
+        # the finish reaches the optimum (9.1635094e-6 by LM from the unrefined terms),
+        # though the gradient there is small in absolute terms
+        assert approx_nonsym(named_tensor("recip4"), 4).best_residual <= 9.16351e-6
+
     @pytest.mark.parametrize("dims,r", [((5, 4, 3), 1), ((4, 4, 4), 4)])
     def test_no_compressed_mode_is_the_full_size_polish(self, dims, r):
         F, _, _ = gen_random_ns(dims, r, 1e-1, seed=14)

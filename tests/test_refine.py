@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gptensor import refine
 from gptensor.generate import gen_random_ns, gen_random_sym
+from gptensor.nonsymapprox import approx_nonsym
 from gptensor.refine import (
     levenberg_marquardt,
     ns_normal_map,
@@ -14,6 +16,7 @@ from gptensor.refine import (
     sym_normal_map,
     sym_residual_map,
 )
+from gptensor.symapprox import approx_sym
 from gptensor.tensors import outer_product, sym_power
 
 
@@ -84,11 +87,9 @@ def real_embedded_lm(c0, residual, jacobian):
     best_x, best_cost = x.copy(), cost
     mu = refine.INIT_DAMPING * max(np.max(np.sum(J * J, axis=0)), np.finfo(float).tiny)
     nu = 2.0
-    iters = 0
+    iters, stop = 0, "max_iter"
     for iters in range(1, refine.MAX_ITERATIONS + 1):
         g = J.T @ r
-        if np.max(np.abs(g)) <= refine.GRAD_TOL:
-            break
         H = J.T @ J
         try:
             step = np.linalg.solve(H + mu * np.eye(2 * h), -g)
@@ -97,6 +98,7 @@ def real_embedded_lm(c0, residual, jacobian):
             nu *= 2.0
             continue
         if np.linalg.norm(step) <= refine.STEP_TOL * (1.0 + np.linalg.norm(x)):
+            stop = "step"
             break
         x_new = x + step
         r_new = residual(unpack(x_new))
@@ -105,17 +107,21 @@ def real_embedded_lm(c0, residual, jacobian):
         predicted = 0.5 * (step @ (mu * step - g))
         rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
         if cost_new < cost:
+            converged = cost - cost_new <= refine.FTOL * cost and predicted <= refine.FTOL * cost
             x, cost = x_new, cost_new
+            if cost < best_cost:
+                best_x, best_cost = x.copy(), cost
+            if converged:
+                stop = "ftol"
+                break
             r, J = realize(r_new, jacobian(unpack(x)))
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             mu = max(mu, 1e-300)
             nu = 2.0
-            if cost < best_cost:
-                best_x, best_cost = x.copy(), cost
         else:
             mu *= nu
             nu *= 2.0
-    return unpack(best_x), float(np.sqrt(2.0 * best_cost)), iters
+    return unpack(best_x), float(np.sqrt(2.0 * best_cost)), iters, stop
 
 
 class TestJacobians:
@@ -353,8 +359,8 @@ class TestAgainstRealEmbedding:
         h = 2 * (F.n if kind == "sym" else sum(F.dims))
         return rng.standard_normal(h) + 1j * rng.standard_normal(h), residual, jacobian, normal
 
-    # The default tolerances sit at the rounding floor, where the last few steps
-    # depend on the order of the arithmetic; a looser grad_tol ends both solvers
+    # The default tolerances sit near the rounding floor, where the last few steps
+    # depend on the order of the arithmetic; a looser FTOL ends both solvers
     # on the same iterate, so the iteration counts can be compared exactly.
     @pytest.mark.parametrize(
         "kind,seed,rejects", [("sym", 0, False), ("dense", 7, False), ("dense", 0, True)]
@@ -370,14 +376,15 @@ class TestAgainstRealEmbedding:
 
             return wrapped
 
-        monkeypatch.setattr(refine, "GRAD_TOL", 1e-6)
-        c_ref, res_ref, iters_ref = real_embedded_lm(c0, residual, jacobian)
-        c, res, iters = levenberg_marquardt(c0, counted("residual", residual), counted("normal", normal))
-        assert iters == iters_ref
+        monkeypatch.setattr(refine, "FTOL", 1e-6)
+        c_ref, res_ref, iters_ref, stop_ref = real_embedded_lm(c0, residual, jacobian)
+        c, res, iters, stop = levenberg_marquardt(c0, counted("residual", residual), counted("normal", normal))
+        assert (iters, stop) == (iters_ref, stop_ref) == (iters, "ftol")
         assert np.linalg.norm(c - c_ref) <= 1e-10 * np.linalg.norm(c_ref)
         assert abs(res - res_ref) <= 1e-10 * res_ref
-        # every attempted step evaluates the residual, every accepted one the normal equations
-        assert (calls["residual"] > calls["normal"]) == rejects
+        # every attempted step evaluates the residual, every accepted one but the
+        # last the normal equations
+        assert (calls["residual"] > calls["normal"] + 1) == rejects
 
 
 class TestPolish:
@@ -418,34 +425,78 @@ class TestSolverCore:
         def normal(c, r):
             return A.conj().T @ A, A.conj().T @ r
 
-        c, res, iters = levenberg_marquardt(np.zeros(3, dtype=complex), residual, normal)
+        c, res, iters, stop = levenberg_marquardt(np.zeros(3, dtype=complex), residual, normal)
         x_ls = np.linalg.lstsq(A, b, rcond=None)[0]
         assert np.allclose(c, x_ls, atol=1e-6)
         assert np.isclose(res, np.linalg.norm(A @ x_ls - b), atol=1e-8)
 
     def test_failed_step_solve_raises_damping(self, monkeypatch):
-        """A LinAlgError from the damped solve doubles mu and the solver carries on."""
+        """A Cholesky failure (info > 0) doubles mu and the solver carries on."""
         rng = np.random.default_rng(8)
         A = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         H = A.conj().T @ A
         damping = []
-        solve = np.linalg.solve
+        zposv = refine.zposv
 
-        def fails_once(M, rhs):
+        def fails_once(M, rhs, **kwargs):
             damping.append(M.diagonal() - H.diagonal())
             if len(damping) == 1:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(M, rhs)
+                return M, rhs, 1
+            return zposv(M, rhs, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", fails_once)
-        c, res, iters = levenberg_marquardt(
+        monkeypatch.setattr(refine, "zposv", fails_once)
+        c, res, iters, stop = levenberg_marquardt(
             np.zeros(3, dtype=complex), lambda c: A @ c - b, lambda c, r: (H, A.conj().T @ r)
         )
         mu = refine.INIT_DAMPING * H.diagonal().real.max()
         assert np.allclose(damping[0], mu) and np.allclose(damping[1], 2 * mu)
         assert iters > 2
         assert np.isclose(res, np.linalg.norm(A @ np.linalg.lstsq(A, b, rcond=None)[0] - b))
+
+    def test_each_stop_reason(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        points = []
+
+        def residual(c):
+            return A @ c - b
+
+        def normal(c, r):
+            points.append(c)
+            return A.conj().T @ A, A.conj().T @ r
+
+        # the step after the near-exact first one gains nothing relative to the cost
+        c, res, iters, stop = levenberg_marquardt(np.zeros(4, dtype=complex), residual, normal)
+        assert stop == "ftol" and iters >= 2
+        # the last point is never passed to `normal`
+        assert len(points) == iters and not any(np.array_equal(p, c) for p in points)
+        # at the optimum the step vanishes
+        x_ls = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert levenberg_marquardt(x_ls, residual, normal)[3] == "step"
+        monkeypatch.setattr(refine, "MAX_ITERATIONS", 1)
+        assert levenberg_marquardt(np.zeros(4, dtype=complex), residual, normal)[2:] == (1, "max_iter")
+
+    def test_step_holds_at_most_two_normal_matrices(self):
+        h = 400
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((2 * h, h)) + 1j * rng.standard_normal((2 * h, h))
+        b = rng.standard_normal(2 * h) + 1j * rng.standard_normal(2 * h)
+        Ah = A.conj().T
+
+        def normal(c, r):
+            return Ah @ A, Ah @ r  # a fresh J^H J on every call
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            levenberg_marquardt(np.zeros(h, dtype=complex), lambda c: A @ c - b, normal)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # J^H J and the damped copy under factorization; never a third h x h matrix
+        assert peak <= 2.2 * h * h * 16
 
     def test_iteration_budget_returns_best(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -466,3 +517,41 @@ class TestSolverCore:
         u_opt, res = refine_sym(F, u0)
         assert np.allclose(u_opt, u0)
         assert np.isclose(res, start)
+
+
+class TestFtolStop:
+    """The relative-reduction stop ends noisy polishes before the rounding floor."""
+
+    @pytest.mark.parametrize("kind", ["sym", "dense"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fewer_normal_calls_same_residual(self, monkeypatch, kind, seed):
+        if kind == "sym":
+            F, _, _ = gen_random_sym(10, 3, 5, 1e-2, seed=seed)
+            name, normal_map, approx = "sym_normal_map", sym_normal_map, approx_sym
+        else:
+            F, _, _ = gen_random_ns((10, 10, 10), 5, 1e-2, seed=seed)
+            name, normal_map, approx = "ns_normal_map", ns_normal_map, approx_nonsym
+
+        def run(ftol):
+            calls = []
+
+            def counted_map(G, r):
+                normal = normal_map(G, r)
+
+                def counted(c, res):
+                    calls.append(1)
+                    return normal(c, res)
+
+                return counted
+
+            monkeypatch.setattr(refine, "FTOL", ftol)
+            monkeypatch.setattr(refine, name, counted_map)
+            result = approx(F, 5, seed=seed)
+            assert result.refined
+            return result.best_residual, len(calls)
+
+        residual, calls = run(refine.FTOL)
+        # FTOL = 0 never stops an accepted step: only the step and budget rules end it
+        floor_residual, floor_calls = run(0.0)
+        assert calls < floor_calls
+        assert abs(residual - floor_residual) <= 1e-12 * floor_residual
