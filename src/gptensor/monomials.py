@@ -13,6 +13,9 @@ Written as its m factors in ascending order (x0 padding the degree to m), a
 monomial is a sorted m-tuple, and this listing is the lexicographic order of
 those tuples, as `itertools.combinations_with_replacement(range(n), m)` yields
 them: `factor_table` is that enumeration, and `power_table` counts its factors.
+Dropping a tuple's last (largest) factor leaves a tuple of degree m - 1, so
+every degree-m monomial is a degree-(m-1) one times a single variable, and
+`prefix_table` records which.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "multiplicities",
     "power_table",
     "factor_table",
+    "prefix_table",
 ]
 
 
@@ -141,3 +145,22 @@ def factor_table(nvars: int, m: int) -> np.ndarray:
     idx = idx.reshape(size, m)
     idx.flags.writeable = False
     return idx
+
+
+@lru_cache(maxsize=None)
+def prefix_table(nvars: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shared read-only int64 pair (prefix, last) splitting each degree-m monomial in two.
+
+    Row i of `power_table(nvars, m)` is row prefix[i] of `power_table(nvars, m - 1)`
+    times x_last[i]: `last` is the last (largest) factor of row i of `factor_table`,
+    and the prefix row lists the m - 1 factors before it.
+    """
+    if nvars < 0 or m < 1:
+        raise ValueError(f"no degree-{m - 1} prefixes for (n, m) = ({nvars + 1}, {m})")
+    last = factor_table(nvars, m)[:, -1].copy()
+    # e_0 = 0: dropping the implicit x0 leaves the power vector as it is
+    unit = np.eye(nvars + 1, nvars, k=-1, dtype=np.int64)
+    prefix = grlex_position(nvars, m - 1, power_table(nvars, m)[0] - unit[last])
+    for a in (prefix, last):
+        a.flags.writeable = False
+    return prefix, last

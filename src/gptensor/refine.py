@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg.lapack import zposv
 
 from .monomials import grlex_position, power_table
-from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values
+from .tensors import DenseTensor, SymTensor, khatri_rao, monomial_values, sym_combination
 
 __all__ = [
     "ApproxResult",
@@ -147,15 +147,17 @@ def sym_residual_map(F: SymTensor, r: int):
     The parameter vector is the flattened r x n array of scaled generators;
     rows of the residual are the compact entries of sum u_i^{(x)m} - F scaled
     by the square roots of their multi-index counts, so the Euclidean residual
-    norm equals the true tensor norm of the error.  The Jacobian is one scatter
-    of the degree-(m-1) values of every u_i (see `_sym_layout`); rows with
-    alpha_k = 0 stay zero.
+    norm equals the true tensor norm of the error.  The sum is one
+    `sym_combination` of the degree-(m-1) values, never the r x N table of
+    degree-m values.  The Jacobian is one scatter of the degree-(m-1) values
+    of every u_i (see `_sym_layout`); rows with alpha_k = 0 stay zero.
     """
     n, m = F.n, F.m
     w, rows, scale = _sym_layout(n, m)
+    ones = np.ones(r)
 
     def residual(c):
-        return w * (monomial_values(c.reshape(r, n), m).sum(axis=0) - F.values)
+        return w * (sym_combination(c.reshape(r, n), ones, m) - F.values)
 
     def jacobian(c):
         lower = monomial_values(c.reshape(r, n), m - 1)  # (r, N')

@@ -24,7 +24,7 @@ import numpy as np
 from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, power_table
 from .refine import ApproxResult, refine_sym
-from .tensors import SymTensor, monomial_values
+from .tensors import SymTensor, monomial_values, sym_combination, sym_contract
 
 __all__ = [
     "MonomialBasisPair",
@@ -229,31 +229,33 @@ def solve_coefficients(F: SymTensor, points: np.ndarray):
     The fit runs on the normalized points q_i = p_i / ||p_i||: their rank-1
     terms have unit norm and the Gram matrix G[i, j] = (q_i^H q_j)^m (Phan,
     Tichavsky & Cichocki, SIAM J. Matrix Anal. Appl. 2013), so it is an
-    r x r solve.  When cond(G) exceeds FIT_COND_LIMIT (duplicate points,
-    say) the normalized weighted design matrix goes to `lstsq_min_norm`
-    instead.  Returns (lam, values, cond): the coefficients, the compact
-    entries of sum_i lam_i v_i^(x)m, both from one evaluation of the points,
-    and cond(G) (inf for a singular G).
+    r x r solve.  The right-hand side (`sym_contract`) and the fitted values
+    (`sym_combination`) each take one product with the degree-(m-1) values
+    of the points.  Only when cond(G) exceeds FIT_COND_LIMIT (duplicate
+    points, say) is the r x N weighted design matrix built, for
+    `lstsq_min_norm`.  Returns (lam, values, cond): the coefficients, the
+    compact entries of sum_i lam_i v_i^(x)m, and cond(G) (inf for a
+    singular G).
     """
-    D = monomial_values(points, F.m)  # (r, N)
     norms = np.linalg.norm(points, axis=1)  # >= 1: the first coordinate is 1
     unit, scale = points / norms[:, None], norms**F.m
-    # conj(D) @ (c F) as conj(D @ conj(c F)): conjugates an N-vector, not an (r, N) array
-    rhs = (D @ np.conj(F.weights * F.values)).conj() / scale
+    # conj(D) @ (c F) as conj(D @ conj(c F)) for the (r, N) degree-m values D
+    rhs = sym_contract(points, np.conj(F.weights * F.values), F.m).conj() / scale
     evals, evecs = np.linalg.eigh((unit.conj() @ unit.T) ** F.m)
     cond = evals[-1] / evals[0] if evals[0] > 0 else np.inf
     if cond <= FIT_COND_LIMIT:
         lam = evecs @ ((evecs.conj().T @ rhs) / evals)
     else:
         w = np.sqrt(F.weights)
+        D = monomial_values(points, F.m)
         lam = lstsq_min_norm((D / scale[:, None]).T * w[:, None], F.values * w)
     lam = lam / scale
-    return lam, lam @ D, float(cond)
+    return lam, sym_combination(points, lam, F.m), float(cond)
 
 
 def reconstruct_sym(points: np.ndarray, coefficients: np.ndarray, n: int, m: int) -> SymTensor:
-    """Compact tensor sum of lambda_i * (v_i)^(x) m."""
-    return SymTensor(n, m, np.asarray(coefficients) @ monomial_values(points, m))
+    """Compact tensor sum of lambda_i * (v_i)^(x) m, by `sym_combination`."""
+    return SymTensor(n, m, sym_combination(points, coefficients, m))
 
 
 def rank1_closed_form(F: SymTensor):

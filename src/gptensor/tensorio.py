@@ -101,23 +101,33 @@ def _parse_entry(ln: str, count: int, what: str):
 
 
 def _find_header(fh):
-    """The stripped header line of an open tensor file and the number of physical lines through it."""
+    """The stripped header line of an open tensor file, the number of lines through it and their bytes.
+
+    `fh` must keep line endings as they are (`newline=""`), so the lines
+    encode back to the file's bytes.
+    """
+    offset = 0
     for skip, ln in enumerate(fh, 1):
+        offset += len(ln.encode("utf-8"))
         ln = ln.strip()
         if ln and not ln.startswith("#"):
-            return ln, skip
+            return ln, skip, offset
     raise FormatError("empty tensor file")
 
 
-def _numpy_readable(path) -> bool:
+def _numpy_readable(path, offset=0) -> bool:
     """Whether numpy's reader skips the same lines as the line loop and parses the rest alike.
 
-    The file must be ASCII, since numpy's integer parser reads some non-ASCII
-    characters as digits, and every `#` must start a comment line, since
-    numpy also drops a `#` and the rest of its line after an entry.
+    Only the bytes from `offset` on are scanned: `read_tensor` passes the
+    first byte after the header line, since both readers skip the lines up to
+    it whatever they hold.  The scanned bytes must be ASCII, since numpy's
+    integer parser reads some non-ASCII characters as digits, and every `#`
+    must start a comment line, since numpy also drops a `#` and the rest of
+    its line after an entry.
     """
     lead_blank = True  # the bytes since the last line break are spaces and tabs only
     with open(path, "rb") as fb:
+        fb.seek(offset)
         while chunk := fb.read(_SCAN_BYTES):
             if not chunk.isascii():
                 return False
@@ -133,21 +143,23 @@ def _numpy_readable(path) -> bool:
 
 
 def _loadtxt(path, skip, dtype):
-    # numpy warns of an empty body, which is the zero tensor
+    # numpy warns of an empty body, which is the zero tensor; the skipped lines
+    # may hold any UTF-8, and `_numpy_readable` has checked that the rest is ASCII
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, dtype=dtype, comments="#", skiprows=skip, encoding="ascii", ndmin=1)
+        return np.loadtxt(path, dtype=dtype, comments="#", skiprows=skip, encoding="utf-8", ndmin=1)
 
 
-def _parse_table(path, skip, dtype):
-    """Parse the entry lines after the first `skip` lines with numpy: the table, or None.
+def _parse_table(path, skip, offset, dtype):
+    """Parse the entry lines after the first `skip` lines, which end at byte `offset`, with numpy.
 
-    None unless the file passes the byte scan, numpy accepts every entry line
-    and reads every value as finite; the line loop then reads the whole file.
-    What numpy accepts from ASCII lines Python's int and float accept too,
-    with the same values, so a table reads the same as the line loop would.
+    Returns the table, or None unless the bytes from `offset` pass the scan,
+    numpy accepts every entry line and reads every value as finite; the line
+    loop then reads the whole file.  What numpy accepts from ASCII lines
+    Python's int and float accept too, with the same values, so a table reads
+    the same as the line loop would.
     """
-    if not _numpy_readable(path):
+    if not _numpy_readable(path, offset):
         return None
     try:
         table = _loadtxt(path, skip, dtype)
@@ -182,16 +194,16 @@ def read_tensor(path):
 
     Every entry line is a row of integers and a complex value; the two kinds
     differ only in how a row maps to a storage position.  After one byte scan
-    of the file, numpy's reader parses the entry lines from the path; a file
-    that numpy does not fully accept, or reads a non-finite value from, is
-    read by the line loop from its first entry line instead, to name the
-    fault or to read syntax that only Python accepts.  Of several faults the
+    of the file past its header, numpy's reader parses the entry lines from
+    the path; a file that numpy does not fully accept, or reads a non-finite
+    value from, is read by the line loop from its first entry line instead,
+    to name the fault or to read syntax that only Python accepts.  Of several faults the
     first malformed line is reported, then an out-of-range entry, then the
     first line that repeats an earlier entry.  A header whose tensor cannot be
     stored is rejected before any entry is read.
     """
-    with open(path, encoding="utf-8") as fh:
-        header, skip = _find_header(fh)
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, skip, offset = _find_header(fh)
         kind, order, dims = _parse_header(header)
         if kind == "sym" and len(set(dims)) != 1:
             raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
@@ -204,7 +216,7 @@ def read_tensor(path):
         except MemoryError:
             raise FormatError(f"tensor of {size} entries is too large to store") from None
         dtype = np.dtype([("i", np.int64, count), ("v", np.float64, 2)])
-        table = _parse_table(path, skip, dtype)
+        table = _parse_table(path, skip, offset, dtype)
         if table is None:
             rows, values, wide = _parse_lines(fh, count, what)
         else:

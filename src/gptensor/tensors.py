@@ -10,10 +10,11 @@ intent: operations return new objects and never mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .monomials import factor_table, grlex_position, multiindex_to_power, power_table
+from .monomials import factor_table, grlex_position, multiindex_to_power, power_table, prefix_table
 
 __all__ = [
     "DenseTensor",
@@ -22,6 +23,8 @@ __all__ = [
     "khatri_rao",
     "sym_power",
     "monomial_values",
+    "sym_combination",
+    "sym_contract",
 ]
 
 
@@ -219,17 +222,67 @@ def monomial_values(v: np.ndarray, m: int) -> np.ndarray:
     """Evaluate v0^(m-|alpha|) * v1^a1 * ... for every stored power vector alpha.
 
     `v` has shape (..., n) and the result (..., N): row i is the compact storage
-    of v[i]^(x)m.  Each value is the product of the m factors that
-    `factor_table(n - 1, m)` lists, taken as m gathers of v.
+    of v[i]^(x)m.  Degree d is built from degree d - 1 by one gather of the
+    prefixes and one of the last factors (`prefix_table`), so each value is
+    the product of its m `factor_table` factors taken in ascending order.
     """
     v = np.asarray(v, dtype=np.complex128)
-    idx = factor_table(v.shape[-1] - 1, m)
+    if v.shape[-1] < 1 or m < 0:
+        raise ValueError(f"invalid (n, m) = ({v.shape[-1]}, {m})")
     if m == 0:
-        return np.ones(v.shape[:-1] + (len(idx),), dtype=np.complex128)
-    out = v[..., idx[:, 0]]
-    for j in range(1, m):
-        out *= v[..., idx[:, j]]
+        return np.ones(v.shape[:-1] + (1,), dtype=np.complex128)
+    nvars = v.shape[-1] - 1
+    # index gathers, not np.take, and degree 1 gathered too when it is the result:
+    # the memory order, which sets how a later sum over the rows rounds, stays as before
+    out = v if m > 1 else v[..., prefix_table(nvars, 1)[1]]
+    for d in range(2, m + 1):
+        prefix, last = prefix_table(nvars, d)
+        out = out[..., prefix]
+        out *= v[..., last]
     return out
+
+
+@lru_cache(maxsize=None)
+def _flat_prefix(n: int, m: int) -> np.ndarray:
+    """Read-only prefix * n + last of `prefix_table(n - 1, m)`: each degree-m row's (N', n) entry."""
+    prefix, last = prefix_table(n - 1, m)
+    flat = prefix * n + last
+    flat.flags.writeable = False
+    return flat
+
+
+def _prefix_split(V: np.ndarray, m: int):
+    """The (r, n) stack V, its (r, N') degree-(m-1) values P and `_flat_prefix(n, m)`.
+
+    The degree-m value of row i at alpha is P[i, prefix] * V[i, last], so a sum
+    over the rows fills entry flat[alpha] = prefix * n + last of an (N', n) table.
+    """
+    V = np.asarray(V, dtype=np.complex128)
+    return V, monomial_values(V, m - 1), _flat_prefix(V.shape[-1], m)
+
+
+def sym_combination(V: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
+    """`c @ monomial_values(V, m)`: compact values of sum_i c_i V[i]^(x)m for an (r, n) V.
+
+    With P the degree-(m-1) values, ((c o P)^T V)[beta, k] sums the rank-1 terms
+    at beta + e_k, so the result is one (N', r) x (r, n) product and one gather;
+    the r x N table of degree-m values is never formed.
+    """
+    V, P, flat = _prefix_split(V, m)
+    return ((np.asarray(c)[:, None] * P).T @ V).ravel()[flat]
+
+
+def sym_contract(V: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """`monomial_values(V, m) @ y` for an (r, n) V and an N-vector y, without the r x N table.
+
+    Scattering y into the (N', n) table S at (prefix, last), row i of the
+    result is sum_beta,k P[i, beta] S[beta, k] V[i, k]: the row sums of
+    (P S) o V, one (r, N') x (N', n) product.
+    """
+    V, P, flat = _prefix_split(V, m)
+    S = np.zeros(P.shape[-1] * V.shape[-1], dtype=np.complex128)
+    S[flat] = y
+    return ((P @ S.reshape(P.shape[-1], V.shape[-1])) * V).sum(axis=1)
 
 
 def sym_power(v, m: int) -> SymTensor:

@@ -315,6 +315,31 @@ class TestTensorFiles:
         back = read_tensor(path)
         assert back.data.view(np.float64).tobytes() == F.data.view(np.float64).tobytes()
 
+    @pytest.mark.parametrize("preamble", ["# café\n", "# café\r\n\r# naïve\n\n"], ids=["lf", "mixed"])
+    def test_non_ascii_before_the_header_skips_the_line_loop(self, tmp_path, monkeypatch, preamble):
+        # numpy skips the lines through the header, so the byte scan does not read them
+        F, _, _ = gen_random_ns((40, 40, 40), 10, 0.1, seed=2)
+        path = tmp_path / "t.tns"
+        write_tensor(F, path)
+        path.write_bytes(preamble.encode("utf-8") + path.read_bytes())
+        expected = outcome(line_loop_read_tensor, path)
+        monkeypatch.setattr(tensorio, "_parse_entry", _fail_parse_entry)
+        assert outcome(read_tensor, path) == expected
+
+    def test_non_ascii_after_the_header_takes_the_line_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns"
+        path.write_text("# café\nTENSOR v1 dense order=2 dims=2,2\n1 1 1 0\n# café\n2 2 -0 2.5\n")
+        expected = outcome(line_loop_read_tensor, path)
+        parsed = []
+
+        def counting(ln, *args):
+            parsed.append(ln)
+            return _parse_entry(ln, *args)
+
+        monkeypatch.setattr(tensorio, "_parse_entry", counting)
+        assert outcome(read_tensor, path) == expected
+        assert parsed == ["1 1 1 0", "2 2 -0 2.5"]
+
     def test_written_sym_file_skips_the_line_loop(self, tmp_path, monkeypatch):
         F, _, _ = gen_random_sym(15, 4, 10, 0.1, seed=1)
         path = tmp_path / "t.tns"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gptensor.generate import NAMED_TENSORS, gen_random_ns, gen_random_sym, named_tensor
+from gptensor.monomials import factor_table
 from gptensor.tensors import DenseTensor, SymTensor, outer_product, sym_power
 
 
@@ -35,6 +36,18 @@ class TestRandomSym:
         bound = 2 * m * np.finfo(float).eps * np.max(np.abs(expect.values))
         assert np.max(np.abs(R.values - expect.values)) <= bound
         assert np.max(np.abs(F.values - (expect + E).values)) <= bound
+
+    @pytest.mark.parametrize("n,m,r", [(15, 4, 10), (10, 3, 5)])
+    def test_bit_identical_to_the_gather_loop_sum(self, n, m, r):
+        # the benchmark inputs: the r x N table of m gathered factors, multiplied in
+        # ascending order and summed over its rows in the gather's memory order
+        rng = np.random.default_rng(r)
+        U = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        idx = factor_table(n - 1, m)
+        table = U[:, idx[:, 0]]
+        for j in range(1, m):
+            table *= U[:, idx[:, j]]
+        assert np.array_equal(gen_random_sym(n, m, r, 0.0, seed=r)[0].values, table.sum(axis=0))
 
     def test_validation(self):
         with pytest.raises(ValueError):

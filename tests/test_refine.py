@@ -519,6 +519,40 @@ class TestSolverCore:
         assert np.isclose(res, start)
 
 
+class TestSymmetricMemory:
+    """At (30,4,20) the r x N table of degree-m values (12.5 MiB) is never held."""
+
+    n, m, r = 30, 4, 20
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        F, _, _ = gen_random_sym(self.n, self.m, self.r, 1e-2, seed=1)
+        return F, approx_sym(F, self.r, refine=False, seed=1).u_ls
+
+    @staticmethod
+    def extra_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_residual_peaks_below_half_the_monomial_table(self, noisy):
+        F, u = noisy
+        residual, _ = sym_residual_map(F, self.r)
+        residual(u.ravel())  # the shape's tables are built and cached on the first call
+        table = self.r * len(F.values) * 16
+        assert self.extra_peak(residual, u.ravel()) < 0.5 * table
+
+    def test_polish_peak_is_set_by_the_normal_matrices(self, noisy):
+        F, u = noisy
+        refine_sym(F, u)  # cached tables
+        h = self.r * self.n
+        assert self.extra_peak(refine_sym, F, u) <= 3.5 * h * h * 16
+
+
 class TestFtolStop:
     """The relative-reduction stop ends noisy polishes before the rounding floor."""
 

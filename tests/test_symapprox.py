@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptensor import symapprox
+from gptensor import refine, symapprox, tensors
 from gptensor.generate import gen_random_ns, gen_random_sym, named_tensor
 from gptensor.linalg import lstsq_min_norm
 from gptensor.monomials import multiplicities, power_table
@@ -394,3 +394,34 @@ def test_repeated_shape_reuses_its_index_tables(monkeypatch):
         assert bool(lookups) == (seed == 1)
         degrees = {sum(alpha) for alpha in build_bases(n, r).B1}
         assert len(assembled) == len(degrees) + 1  # the rank-1 closed form assembles once
+
+
+def spy_monomial_degrees(monkeypatch):
+    """Record the degree of every `monomial_values` call, under each name it is bound to."""
+    degrees, real = [], tensors.monomial_values
+
+    def spied(v, m):
+        degrees.append(m)
+        return real(v, m)
+
+    for module in (tensors, symapprox, refine):
+        monkeypatch.setattr(module, "monomial_values", spied)
+    return degrees
+
+
+@pytest.mark.parametrize("n,m,r,eps", [(10, 3, 5, 1e-2), (15, 4, 10, 0.0)])
+def test_solve_never_builds_the_degree_m_table(monkeypatch, n, m, r, eps):
+    # fit, reconstruction and every LM residual go through the degree-(m-1) values
+    F, _, _ = gen_random_sym(n, m, r, eps, seed=3)
+    degrees = spy_monomial_degrees(monkeypatch)
+    result = approx_sym(F, r, seed=1)
+    assert result.refined == (eps > 0) and (result.X_opt is not None) == (eps > 0)
+    assert degrees and m not in degrees
+
+
+def test_fit_fallback_builds_the_design_matrix(monkeypatch):
+    # the spy above sees a degree-m table when one is built: duplicate points force it
+    v = np.array([1.0, 0.5 - 0.25j, 2.0, -1.0j])
+    degrees = spy_monomial_degrees(monkeypatch)
+    _, _, cond = solve_coefficients(sym_power(v, 3), np.vstack([v, v]))
+    assert cond > symapprox.FIT_COND_LIMIT and 3 in degrees

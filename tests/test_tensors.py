@@ -3,14 +3,18 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gptensor.monomials import factor_table, multiindex_to_power, power_table
+from gptensor.monomials import factor_table, multiindex_to_power, power_table, prefix_table
 from gptensor.tensors import (
     DenseTensor,
     SymTensor,
     khatri_rao,
     monomial_values,
     outer_product,
+    sym_combination,
+    sym_contract,
     sym_power,
 )
 
@@ -276,6 +280,77 @@ class TestRankOne:
         assert np.array_equal(khatri_rao(factors[:1]), factors[0])
         with pytest.raises(ValueError):
             khatri_rao([])
+
+
+def gather_loop_monomial_values(v, m):
+    """Oracle: the m factors of every `factor_table` row gathered from v and multiplied in turn."""
+    v = np.asarray(v, dtype=np.complex128)
+    idx = factor_table(v.shape[-1] - 1, m)
+    if m == 0:
+        return np.ones(v.shape[:-1] + (len(idx),), dtype=np.complex128)
+    out = v[..., idx[:, 0]]
+    for j in range(1, m):
+        out *= v[..., idx[:, j]]
+    return out
+
+
+def memory_order(a):
+    """The strides of the axes longer than 1, which alone place the entries in memory."""
+    return [s for s, d in zip(a.strides, a.shape) if d > 1]
+
+
+@st.composite
+def point_stacks(draw):
+    """(V, m): an (r, n) complex stack with n in 1..6, m in 1..5, r in 1..4, some coordinates zero."""
+    n, m, r = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+    V[rng.uniform(size=(r, n)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return V, m
+
+
+class TestPrefixKernels:
+    """Rank-r sums of degree-m values from the degree-(m-1) table."""
+
+    def test_prefix_table_is_shared_and_read_only(self):
+        prefix, last = prefix_table(4, 3)
+        assert all(a is b for a, b in zip(prefix_table(4, 3), (prefix, last)))
+        assert prefix.dtype == last.dtype == np.int64
+        for a in (prefix, last):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        with pytest.raises(ValueError):
+            prefix_table(4, 0)
+
+    @pytest.mark.parametrize("nvars,m", [(0, 1), (0, 4), (1, 3), (3, 1), (4, 3), (5, 5)])
+    def test_prefix_row_and_last_factor_give_back_the_row(self, nvars, m):
+        prefix, last = prefix_table(nvars, m)
+        rows = np.column_stack([factor_table(nvars, m - 1)[prefix], last])
+        assert np.array_equal(rows, factor_table(nvars, m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=point_stacks(), batch=st.sampled_from([(), (1,), (2,)]), m0=st.booleans())
+    def test_monomial_values_equal_the_gather_loop(self, stack, batch, m0):
+        V, m = stack
+        m = 0 if m0 else m
+        # 1-D rows, an (r, n) stack and a batch of stacks; a sum over the rows (as
+        # `gen_random_sym` takes) rounds by the memory order, so that must match too
+        for v in (V[0], V, np.broadcast_to(V, batch + V.shape)):
+            got, want = monomial_values(v, m), gather_loop_monomial_values(v, m)
+            assert got.shape == v.shape[:-1] + (len(power_table(v.shape[-1] - 1, m)[0]),)
+            assert np.array_equal(got, want) and memory_order(got) == memory_order(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stack=point_stacks(), seed=st.integers(0, 2**32 - 1))
+    def test_combination_and_contraction_match_the_full_table(self, stack, seed):
+        V, m = stack
+        rng = np.random.default_rng(seed)
+        D = monomial_values(V, m)
+        c = rng.standard_normal(len(V)) + 1j * rng.standard_normal(len(V))
+        y = rng.standard_normal(D.shape[1]) + 1j * rng.standard_normal(D.shape[1])
+        # relative to the same sums taken in absolute values
+        assert np.all(np.abs(sym_combination(V, c, m) - c @ D) <= 1e-13 * (np.abs(c) @ np.abs(D)))
+        assert np.all(np.abs(sym_contract(V, y, m) - D @ y) <= 1e-13 * (np.abs(D) @ np.abs(y)))
 
 
 def test_power_lookup_consistent_with_multiindex():
