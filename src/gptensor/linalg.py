@@ -1,14 +1,17 @@
 """Dense complex matrix kernels: minimum-norm least squares, SVD, Schur.
 
-Thin contracts over LAPACK-backed routines so the rest of the pipeline never
-touches raw factorizations.  All functions are pure and deterministic for a
-fixed input bit pattern.
+Thin contracts over LAPACK routines so the rest of the pipeline never
+touches raw factorizations.  The least squares and the Schur decomposition
+call LAPACK directly (`zgeqrf`, `zunmqr`, `zgees`): the QR's Q is applied
+to the right-hand sides, never formed, and the residual norms are read off
+the factorization.  All functions are pure and deterministic for a fixed
+input bit pattern.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "lstsq_min_norm",
@@ -29,34 +32,64 @@ class NumericalError(RuntimeError):
     """A factorization failed to converge."""
 
 
-def lstsq_min_norm(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution x = pinv(A) b.
+def _lwork(ncols: int) -> int:
+    """LAPACK workspace for a blocked pass over `ncols` columns: 64 (its largest
+    block size) per column, plus the 65 x 64 buffer of a block reflector."""
+    return 64 * max(1, ncols) + 65 * 64
+
+
+def _check_info(info: int, what: str, routine: str) -> None:
+    if info != 0:
+        raise NumericalError(f"{what} failed: LAPACK {routine} returned info {info}")
+
+
+def _column_sq(X: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each column of X."""
+    return np.einsum("ij,ij->j", X.real, X.real) + np.einsum("ij,ij->j", X.imag, X.imag)
+
+
+def lstsq_min_norm(A: np.ndarray, b: np.ndarray):
+    """Minimum-norm least-squares solution x = pinv(A) b and its residual norms.
 
     Singular values at most DEFAULT_RCOND * sigma_max are treated as zero.  `b`
     may be a vector or a matrix of stacked right-hand sides.  A tall A is
-    first reduced by QR, A = Q R: R has A's singular values and Q* b carries
-    everything of b that A can reach, so the SVD runs on the small R.
+    first reduced by the QR A = Q R of `zgeqrf`: R has A's singular values
+    and Q* b carries everything of b that A can reach, so the SVD runs on the
+    small R, and Q is applied to b by `zunmqr`, never formed.  Returns
+    (x, residual_norms), the norms ||A x - b|| per column of b (a scalar for
+    a vector b), read off the factorization: the part of Q* b below R plus
+    the part of the rest along the singular directions cut at
+    DEFAULT_RCOND.
     """
     A = np.asarray(A, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if A.ndim != 2:
-        raise ValueError("A must be a matrix")
+    if A.ndim != 2 or b.ndim not in (1, 2):
+        raise ValueError("A must be a matrix and b a vector or a matrix")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: A is {A.shape}, b has leading size {b.shape[0]}")
-    if A.shape[0] > A.shape[1]:
-        try:
-            Q, A = np.linalg.qr(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"least-squares QR failed: {exc}") from exc
-        b = Q.conj().T @ b
+    B = b[:, None] if b.ndim == 1 else b
+    rows, cols = A.shape
+    outside = np.zeros(B.shape[1])
+    if rows > cols:
+        qr, tau, _, info = lapack.zgeqrf(A, lwork=_lwork(cols))
+        _check_info(info, "least-squares QR", "zgeqrf")
+        if cols:  # Q* b, Q never formed
+            B, _, info = lapack.zunmqr("L", "C", qr, tau, B, _lwork(B.shape[1]))
+            _check_info(info, "least-squares QR", "zunmqr")
+        outside = _column_sq(B[cols:])
+        A, B = np.triu(qr[:cols]), B[:cols]
     try:
         U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"least-squares SVD did not converge: {exc}") from exc
+    # U is square here: A has at most as many rows as columns
     k = int(np.count_nonzero(s > DEFAULT_RCOND * s[0])) if s.size else 0
-    y = U[:, :k].conj().T @ b
-    y /= s[:k].reshape((k,) + (1,) * (b.ndim - 1))
-    return Vh[:k].conj().T @ y
+    y = U.conj().T @ B
+    if k < len(y):  # the part of b along the cut singular directions
+        outside = outside + _column_sq(y[k:])
+    residuals = np.sqrt(outside)
+    x = Vh[:k].conj().T @ (y[:k] / s[:k, None])
+    return (x[:, 0], residuals[0]) if b.ndim == 1 else (x, residuals)
 
 
 def svd(A: np.ndarray) -> np.ndarray:
@@ -71,7 +104,7 @@ def svd(A: np.ndarray) -> np.ndarray:
 
 
 def schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex Schur decomposition M = Q T Q*, returned as (Q, T).
+    """Complex Schur decomposition M = Q T Q*, returned as (Q, T), by one LAPACK `zgees` call.
 
     Q is unitary and T exactly upper triangular.  No eigenvalue reordering is
     applied; diag(T) lists the eigenvalues in whatever order the
@@ -80,11 +113,15 @@ def schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"schur requires a square matrix, got shape {M.shape}")
-    try:
-        T, Q = scipy.linalg.schur(M, output="complex")
-    except Exception as exc:  # scipy raises LinAlgError on QR iteration failure
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    if not np.isfinite(M).all():
+        raise NumericalError("Schur decomposition failed: the matrix has non-finite entries")
+    T, _, _, Q, _, info = lapack.zgees(_no_sort, M, lwork=_lwork(len(M)))
+    _check_info(info, "Schur decomposition", "zgees")
     return Q, np.triu(T)
+
+
+def _no_sort(eigenvalue):
+    """`zgees`'s selection callback; never called, since no reordering is asked for."""
 
 
 def positive_combination(mats: np.ndarray, xi) -> np.ndarray:

@@ -183,7 +183,11 @@ def assemble_system_ns(F: DenseTensor, j: int, r: int):
 
 
 def solve_generating_matrix_ns(F: DenseTensor, r: int) -> NsGenMatrix:
-    """Least-squares generating matrix; one factorization per mode j."""
+    """Least-squares generating matrix; one factorization per mode j.
+
+    The column residuals come with the solve (`lstsq_min_norm`), from its
+    factorization; A X - B is never formed.
+    """
     m = F.order
     _check_mode_rows(F.dims, r)
     blocks = {}
@@ -192,8 +196,8 @@ def solve_generating_matrix_ns(F: DenseTensor, r: int) -> NsGenMatrix:
         A, B = assemble_system_ns(F, j, r)
         nj = F.dims[j - 1]
         rhs = B.reshape(r * (nj - 1), -1).T  # columns: (i, k) pairs
-        X = lstsq_min_norm(A, rhs)
-        residuals[j] = np.linalg.norm(A @ X - rhs, axis=0).reshape(r, nj - 1)
+        X, norms = lstsq_min_norm(A, rhs)
+        residuals[j] = norms.reshape(r, nj - 1)
         blocks[j] = X.reshape(r, r, nj - 1)  # axes (ell, i, k-1)
     return NsGenMatrix(dims=F.dims, blocks=blocks, column_residuals=residuals)
 
@@ -227,7 +231,7 @@ def solve_first_mode(F: DenseTensor, factors) -> np.ndarray:
     by the independent least squares of every first-mode slice.  Returns an
     (r, n1) array.
     """
-    return lstsq_min_norm(khatri_rao(factors), F.data.reshape(F.dims[0], -1).T)
+    return lstsq_min_norm(khatri_rao(factors), F.data.reshape(F.dims[0], -1).T)[0]
 
 
 def reconstruct_ns(tuples) -> DenseTensor:

@@ -24,7 +24,7 @@ import numpy as np
 from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, power_table
 from .refine import ApproxResult, refine_sym
-from .tensors import SymTensor, monomial_values, sym_combination, sym_contract
+from .tensors import SymTensor, _combination, _contract, _prefix_split, monomial_values, sym_combination
 
 __all__ = [
     "MonomialBasisPair",
@@ -185,16 +185,17 @@ def _system_index(n: int, m: int, r: int, d: int):
 
 
 def solve_generating_matrix(F: SymTensor, r: int) -> SymGenMatrix:
-    """Generating matrix by minimum-norm least squares, one solve per shift degree."""
+    """Generating matrix by minimum-norm least squares, one solve per shift degree.
+
+    The column residuals ||A x - b|| come with the solve (`lstsq_min_norm`),
+    from its factorization; A X - B is never formed.
+    """
     check_shape_sym(F.n, F.m, r)
     bases = build_bases(F.n, r)
     G = np.empty((r, len(bases.B1)), dtype=np.complex128)
     residuals = np.empty(len(bases.B1))
     for d, cols in bases.degrees.items():
-        A, B = assemble_system(F, r, d)
-        X = lstsq_min_norm(A, B)
-        G[:, cols] = X
-        residuals[cols] = np.linalg.norm(A @ X - B, axis=0)
+        G[:, cols], residuals[cols] = lstsq_min_norm(*assemble_system(F, r, d))
     return SymGenMatrix(bases=bases, G=G, column_residuals=residuals)
 
 
@@ -229,18 +230,19 @@ def solve_coefficients(F: SymTensor, points: np.ndarray):
     The fit runs on the normalized points q_i = p_i / ||p_i||: their rank-1
     terms have unit norm and the Gram matrix G[i, j] = (q_i^H q_j)^m (Phan,
     Tichavsky & Cichocki, SIAM J. Matrix Anal. Appl. 2013), so it is an
-    r x r solve.  The right-hand side (`sym_contract`) and the fitted values
-    (`sym_combination`) each take one product with the degree-(m-1) values
-    of the points.  Only when cond(G) exceeds FIT_COND_LIMIT (duplicate
-    points, say) is the r x N weighted design matrix built, for
-    `lstsq_min_norm`.  Returns (lam, values, cond): the coefficients, the
-    compact entries of sum_i lam_i v_i^(x)m, and cond(G) (inf for a
-    singular G).
+    r x r solve.  The right-hand side (as `sym_contract`) and the fitted
+    values (as `sym_combination`) each take one product with the one table
+    of degree-(m-1) values of the points.  Only when cond(G) exceeds
+    FIT_COND_LIMIT (duplicate points, say) is the r x N weighted design
+    matrix built, for `lstsq_min_norm`.  Returns (lam, values, cond): the
+    coefficients, the compact entries of sum_i lam_i v_i^(x)m, and cond(G)
+    (inf for a singular G).
     """
+    split = _prefix_split(points, F.m)
     norms = np.linalg.norm(points, axis=1)  # >= 1: the first coordinate is 1
     unit, scale = points / norms[:, None], norms**F.m
     # conj(D) @ (c F) as conj(D @ conj(c F)) for the (r, N) degree-m values D
-    rhs = sym_contract(points, np.conj(F.weights * F.values), F.m).conj() / scale
+    rhs = _contract(*split, np.conj(F.weights * F.values)).conj() / scale
     evals, evecs = np.linalg.eigh((unit.conj() @ unit.T) ** F.m)
     cond = evals[-1] / evals[0] if evals[0] > 0 else np.inf
     if cond <= FIT_COND_LIMIT:
@@ -248,9 +250,9 @@ def solve_coefficients(F: SymTensor, points: np.ndarray):
     else:
         w = np.sqrt(F.weights)
         D = monomial_values(points, F.m)
-        lam = lstsq_min_norm((D / scale[:, None]).T * w[:, None], F.values * w)
+        lam = lstsq_min_norm((D / scale[:, None]).T * w[:, None], F.values * w)[0]
     lam = lam / scale
-    return lam, sym_combination(points, lam, F.m), float(cond)
+    return lam, _combination(*split, lam), float(cond)
 
 
 def reconstruct_sym(points: np.ndarray, coefficients: np.ndarray, n: int, m: int) -> SymTensor:
@@ -277,10 +279,12 @@ def rank1_closed_form(F: SymTensor):
     return complex(lam), v
 
 
-def _principal_root(lam: complex, m: int) -> complex:
-    if lam == 0:
-        return 0.0
-    return np.exp(np.log(complex(lam)) / m)
+def _principal_roots(lam: np.ndarray, m: int) -> np.ndarray:
+    """exp(log(lam) / m) on the principal branch, elementwise; 0 where lam = 0."""
+    roots = np.zeros(len(lam), dtype=np.complex128)
+    nonzero = lam != 0
+    roots[nonzero] = np.exp(np.log(lam[nonzero]) / m)
+    return roots
 
 
 def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymApproxResult:
@@ -296,11 +300,11 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
     points, diagnostics = extract_points(gm, draw_weights(np.random.default_rng(seed), F.nbar))
     lam, fitted, fit_cond = solve_coefficients(F, points)
     X_gp = SymTensor(F.n, F.m, fitted)
-    u_ls = np.array([_principal_root(l, F.m) * v for l, v in zip(lam, points)], dtype=np.complex128)
+    u_ls = _principal_roots(lam, F.m)[:, None] * points
     result = SymApproxResult(
         rank=r,
         points=points,
-        coefficients=np.asarray(lam),
+        coefficients=lam,
         u_ls=u_ls,
         X_gp=X_gp,
         residual_gp=(F - X_gp).norm(),

@@ -38,6 +38,8 @@ __all__ = [
 
 # bytes per read of the scan that decides whether numpy may read a tensor file
 _SCAN_BYTES = 1 << 20
+# entry lines per block of `write_tensor`
+_WRITE_LINES = 1 << 10
 
 
 class FormatError(ValueError):
@@ -49,21 +51,31 @@ def _fmt(x: float) -> str:
 
 
 def write_tensor(t, path) -> None:
-    """Write a tensor file; symmetric tensors use compact power-vector lines."""
+    """Write a tensor file; symmetric tensors use compact power-vector lines.
+
+    Lines are written in blocks of _WRITE_LINES, each formatted with one
+    %-format per line from Python ints and floats, so those never hold the
+    whole tensor; %.17g writes a float as `_fmt` does.
+    """
     if isinstance(t, SymTensor):
-        rows, values = t.powers, t.values
+        p = t.powers
+        blocks = range(0, len(p), _WRITE_LINES)
+        rows = itertools.chain.from_iterable(p[lo : lo + _WRITE_LINES].tolist() for lo in blocks)
+        values, count = t.values, t.nbar
     elif isinstance(t, DenseTensor):
         # 1-based multi-indices in row-major order, generated as the lines are written
         rows = itertools.product(*(range(1, d + 1) for d in t.dims))
-        values = t.data.ravel()
+        values, count = t.data.ravel(), t.order
     else:
         raise TypeError(f"cannot serialize {type(t).__name__}")
+    line = "%d " * count + "%.17g %.17g\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"TENSOR v1 {t.kind} order={t.order} dims={','.join(map(str, t.dims))}\n")
-        fh.writelines(
-            " ".join([*map(str, row), _fmt(v.real), _fmt(v.imag)]) + "\n"
-            for row, v in zip(rows, values)
-        )
+        for lo in range(0, len(values), _WRITE_LINES):
+            block = values[lo : lo + _WRITE_LINES]
+            # rows last: zip stops at the block's end without drawing a row past it
+            lines = zip(block.real.tolist(), block.imag.tolist(), rows)
+            fh.writelines(line % (*row, re, im) for re, im, row in lines)
 
 
 def _parse_header(line: str):
@@ -234,12 +246,14 @@ def read_tensor(path):
         where = "for power vector"
     else:
         index = rows - 1
-        # one unsigned comparison: an index below 0 wraps past every dimension
-        bad = (index.view(np.uint64) >= np.array(dims, dtype=np.uint64)).any(axis=1)
-        if bad.any():
-            i = int(bad.argmax())
-            raise FormatError(f"index {wide.get(i, tuple(rows[i].tolist()))} out of range for dims {dims}")
-        pos = np.ravel_multi_index(tuple(index.T), dims)
+        try:
+            pos = np.ravel_multi_index(tuple(index.T), dims)  # raises for an index out of range
+        except ValueError:
+            # name the first faulty line; one unsigned comparison: an index
+            # below 0 wraps past every dimension
+            i = int((index.view(np.uint64) >= np.array(dims, dtype=np.uint64)).any(axis=1).argmax())
+            bad = wide.get(i, tuple(rows[i].tolist()))
+            raise FormatError(f"index {bad} out of range for dims {dims}") from None
         where = "at index"
     if np.bincount(pos, minlength=size).max() > 1:
         first = np.unique(pos, return_index=True)[1]
@@ -250,7 +264,9 @@ def read_tensor(path):
 
 
 def _vec_str(v) -> str:
-    return ";".join(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in np.asarray(v, dtype=np.complex128))
+    v = np.asarray(v, dtype=np.complex128)
+    # %.17g writes a float as _fmt does
+    return ";".join(["%.17g,%.17g" % pair for pair in zip(v.real.tolist(), v.imag.tolist())])
 
 
 def _vec_parse(s: str) -> np.ndarray:

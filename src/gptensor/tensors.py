@@ -58,7 +58,7 @@ class DenseTensor:
         return complex(self.data[tuple(i - 1 for i in idx)])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return float(np.sqrt(np.vdot(self.data, self.data).real))
 
     def __add__(self, other: "DenseTensor") -> "DenseTensor":
         return self._combine(other, np.add)
@@ -268,8 +268,7 @@ def sym_combination(V: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
     at beta + e_k, so the result is one (N', r) x (r, n) product and one gather;
     the r x N table of degree-m values is never formed.
     """
-    V, P, flat = _prefix_split(V, m)
-    return ((np.asarray(c)[:, None] * P).T @ V).ravel()[flat]
+    return _combination(*_prefix_split(V, m), c)
 
 
 def sym_contract(V: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
@@ -279,7 +278,16 @@ def sym_contract(V: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
     result is sum_beta,k P[i, beta] S[beta, k] V[i, k]: the row sums of
     (P S) o V, one (r, N') x (N', n) product.
     """
-    V, P, flat = _prefix_split(V, m)
+    return _contract(*_prefix_split(V, m), y)
+
+
+def _combination(V, P, flat, c) -> np.ndarray:
+    """`sym_combination` from the `_prefix_split` of V."""
+    return ((np.asarray(c)[:, None] * P).T @ V).ravel()[flat]
+
+
+def _contract(V, P, flat, y) -> np.ndarray:
+    """`sym_contract` from the `_prefix_split` of V."""
     S = np.zeros(P.shape[-1] * V.shape[-1], dtype=np.complex128)
     S[flat] = y
     return ((P @ S.reshape(P.shape[-1], V.shape[-1])) * V).sum(axis=1)

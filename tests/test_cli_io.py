@@ -433,6 +433,33 @@ class TestTensorFiles:
         write_tensor(read_tensor(path), again)
         assert again.read_text() == text
 
+    @pytest.mark.parametrize("block", [None, 1, 4], ids=["default", "block1", "block4"])
+    def test_written_bytes_are_pinned(self, tmp_path, monkeypatch, block):
+        if block is not None:  # lines written in blocks of this many join up seamlessly
+            monkeypatch.setattr(tensorio, "_WRITE_LINES", block)
+
+        # 17 significant digits, -0 parts kept, exponents and subnormals as %.17g writes them
+        def cx(re, im):
+            z = np.empty(len(re), dtype=np.complex128)
+            z.real, z.imag = re, im
+            return z
+
+        dense = DenseTensor(cx([-0.0, 0.1, -2.5e-300, 1 / 3], [-0.0, 1e300, -0.0, -1.0]).reshape(2, 2))
+        sym = SymTensor(3, 2, cx([-0.0, 2.0, 0.0, 1e-5, -7.25, 123456789.125], [0.0, -0.0, -0.0, 2 / 3, 1e17, -1e-310]))
+        want = {
+            "dense": "TENSOR v1 dense order=2 dims=2,2\n1 1 -0 -0\n1 2 0.10000000000000001 1.0000000000000001e+300\n"
+            "2 1 -2.5e-300 -0\n2 2 0.33333333333333331 -1\n",
+            "sym": "TENSOR v1 sym order=2 dims=3,3\n0 0 -0 0\n1 0 2 -0\n0 1 0 -0\n"
+            "2 0 1.0000000000000001e-05 0.66666666666666663\n1 1 -7.25 1e+17\n"
+            "0 2 123456789.125 -9.9999999999999694e-311\n",
+        }
+        for name, t in (("dense", dense), ("sym", sym)):
+            path = tmp_path / f"{name}.tns"
+            write_tensor(t, path)
+            assert path.read_bytes() == want[name].encode()
+        vec = cx([-0.0, 1e300], [1e-300, -0.0])
+        assert render_report({}, {"r": {"v": vec}}) == "REPORT v1\n[meta]\n[r]\nv=-0,1e-300;1.0000000000000001e+300,-0\n"
+
     def test_non_ascii_digits_take_the_line_loop(self, tmp_path):
         path = tmp_path / "t.tns"
         # Python's int reads U+0661 as 1; numpy's integer parser reads U+01FE as 462
@@ -791,13 +818,20 @@ class TestCli:
         else:
             assert want > 0 and got == want
 
-    @pytest.mark.parametrize("module,name", [(np.linalg, "svd"), (np.linalg, "qr"), (scipy.linalg, "schur")])
+    @pytest.mark.parametrize(
+        "module,name",
+        [(np.linalg, "svd"), (scipy.linalg.lapack, "zgeqrf"), (scipy.linalg.lapack, "zunmqr"), (scipy.linalg.lapack, "zgees")],
+    )
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys, module, name):
         tns = str(tmp_path / "t.tns")
         main(["gen", "--kind", "sym", "--dims", "5,3", "--rank", "2", "-o", tns])
+        real = getattr(module, name)
 
         def fails(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
+            if module is np.linalg:
+                raise np.linalg.LinAlgError("did not converge")
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)  # a nonzero LAPACK info
 
         monkeypatch.setattr(module, name, fails)
         assert main(["approx-sym", "--rank", "2", tns]) == EXIT_NUMERICAL

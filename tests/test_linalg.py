@@ -23,7 +23,9 @@ def check_lstsq_invariants(rng):
     cols = int(rng.integers(1, 12))
     A = random_matrix(rng, rows, cols)
     b = random_matrix(rng, rows, 1)[:, 0]
-    x = lstsq_min_norm(A, b)
+    x, res = lstsq_min_norm(A, b)
+    # the residual norm read off the factorization is the one of A x - b
+    assert abs(res - np.linalg.norm(A @ x - b)) <= 1e-12 * max(1.0, np.linalg.norm(b))
     # normal equations: A*(Ax - b) = 0
     resid = A.conj().T @ (A @ x - b)
     scale = max(1.0, np.linalg.norm(A) ** 2 * np.linalg.norm(b))
@@ -86,23 +88,25 @@ def test_lstsq_matrix_rhs():
     rng = np.random.default_rng(1)
     A = random_matrix(rng, 8, 4)
     B = random_matrix(rng, 8, 3)
-    X = lstsq_min_norm(A, B)
+    X, res = lstsq_min_norm(A, B)
+    assert res.shape == (3,)
     for j in range(3):
-        assert np.allclose(X[:, j], lstsq_min_norm(A, B[:, j]))
+        x, r = lstsq_min_norm(A, B[:, j])
+        assert np.allclose(X[:, j], x) and r == pytest.approx(res[j], rel=1e-12)
 
 
 def test_lstsq_exact_square_system():
     rng = np.random.default_rng(2)
     A = random_matrix(rng, 5, 5)
     x = random_matrix(rng, 5, 1)[:, 0]
-    assert np.allclose(lstsq_min_norm(A, A @ x), x, atol=1e-9)
+    assert np.allclose(lstsq_min_norm(A, A @ x)[0], x, atol=1e-9)
 
 
 def test_lstsq_rcond_truncates_small_singular_values():
     # second column is a 1e-15 perturbation of the first: numerically rank 1
     A = np.array([[1.0, 1.0 + 1e-15], [1.0, 1.0]])
     b = np.array([1.0, 1.0])
-    x = lstsq_min_norm(A, b)
+    x, _ = lstsq_min_norm(A, b)
     assert np.allclose(x, [0.5, 0.5], atol=1e-6)
 
 
@@ -293,6 +297,17 @@ def lstsq_oracle_bound(A, b, x):
     return 2 * eps * (kappa * xnorm + kappa**2 * rnorm / kept[0])
 
 
+def lapack_info(monkeypatch, name, info=1):
+    """Make `scipy.linalg.lapack.<name>` return `info` in place of its own."""
+    real = getattr(scipy.linalg.lapack, name)
+
+    def wrapped(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, info)
+
+    monkeypatch.setattr(scipy.linalg.lapack, name, wrapped)
+
+
 class TestLstsqAgainstNumpy:
     """`lstsq_min_norm` against `np.linalg.lstsq` at the same cutoff."""
 
@@ -304,11 +319,13 @@ class TestLstsqAgainstNumpy:
         b = random_matrix(rng, rows, nrhs or 1)
         if nrhs is None:
             b = b[:, 0]
-        x = lstsq_min_norm(A, b)
+        x, res = lstsq_min_norm(A, b)
         want, *_ = np.linalg.lstsq(A, b, rcond=DEFAULT_RCOND)
-        assert x.shape == want.shape
+        assert x.shape == want.shape and np.shape(res) == b.shape[1:]
         err = np.linalg.norm((x - want).reshape(cols, -1), axis=0)
         assert np.all(err <= lstsq_oracle_bound(A, b, want))
+        direct = np.linalg.norm((A @ x - b).reshape(rows, -1), axis=0)
+        assert np.allclose(res, direct.reshape(np.shape(res)), rtol=1e-12, atol=1e-13 * np.linalg.norm(b))
 
     @pytest.mark.parametrize("nrhs", [None, 3])
     def test_rank_deficient_tall_is_minimum_norm(self, nrhs):
@@ -318,24 +335,55 @@ class TestLstsqAgainstNumpy:
         b = random_matrix(rng, rows, nrhs or 1)
         if nrhs is None:
             b = b[:, 0]
-        x = lstsq_min_norm(A, b)
         want, *_ = np.linalg.lstsq(A, b, rcond=DEFAULT_RCOND)
         bound = lstsq_oracle_bound(A, b, want)
-        assert np.all(np.linalg.norm((x - want).reshape(cols, -1), axis=0) <= bound)
-        # no component in the null space of A, beyond what the same bound allows
         _, _, Vh = np.linalg.svd(A)
         null = Vh[rank:]  # rows v_k^H of the null-space vectors
+        x, res = lstsq_min_norm(A, b)
+        assert np.all(np.linalg.norm((x - want).reshape(cols, -1), axis=0) <= bound)
+        # no component in the null space of A, beyond what the same bound allows
         assert np.all(np.linalg.norm((null @ x).reshape(cols - rank, -1), axis=0) <= bound)
+        # the residual counts the part of b along the cut singular directions too
+        direct = np.linalg.norm((A @ x - b).reshape(rows, -1), axis=0)
+        assert np.allclose(res, direct.reshape(np.shape(res)), rtol=1e-10, atol=0)
+
+    def test_reflectors_that_are_the_identity(self):
+        # columns already upper triangular, and an exactly zero column, give tau = 0
+        rng = np.random.default_rng(12)
+        A = np.zeros((9, 4), dtype=np.complex128)
+        A[:4] = np.triu(random_matrix(rng, 4, 4))
+        A[:, 2] = 0
+        b = random_matrix(rng, 9, 6)
+        want, *_ = np.linalg.lstsq(A, b, rcond=DEFAULT_RCOND)
+        x, res = lstsq_min_norm(A, b)
+        assert np.allclose(x, want, rtol=0, atol=1e-13 * np.abs(want).max())
+        assert np.allclose(res, np.linalg.norm(A @ x - b, axis=0), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape,nrhs", [((5, 0), 2), ((0, 3), 2), ((5, 3), 0), ((3, 5), 0)])
+    def test_empty_systems(self, shape, nrhs):
+        b = np.arange(1.0, shape[0] * nrhs + 1).reshape(shape[0], nrhs)
+        x, res = lstsq_min_norm(np.ones(shape), b)
+        assert x.shape == (shape[1], nrhs) and not x.any()
+        assert np.allclose(res, np.linalg.norm(b, axis=0), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("name", ["zgeqrf", "zunmqr"])
+    def test_lapack_failures_are_numerical_errors(self, monkeypatch, name):
+        tall, square = np.ones((5, 2)), np.eye(3)
+        b = np.ones((5, 3))
+        lapack_info(monkeypatch, name, info=-1)
+        with pytest.raises(NumericalError, match=f"least-squares QR failed: LAPACK {name} returned info -1"):
+            lstsq_min_norm(tall, b)
+        assert np.allclose(lstsq_min_norm(square, np.ones(3))[0], 1.0)  # no QR for a square A
 
     def test_factorization_failures_are_numerical_errors(self, monkeypatch):
         def fails(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
         tall, square = np.ones((5, 2)), np.eye(3)
-        monkeypatch.setattr(np.linalg, "qr", fails)
+        lapack_info(monkeypatch, "zgeqrf")
         with pytest.raises(NumericalError, match="QR"):
             lstsq_min_norm(tall, np.ones(5))
-        assert np.allclose(lstsq_min_norm(square, np.ones(3)), 1.0)  # no QR for a square A
+        assert np.allclose(lstsq_min_norm(square, np.ones(3))[0], 1.0)  # no QR for a square A
         monkeypatch.undo()
         monkeypatch.setattr(np.linalg, "svd", fails)
         for A in (tall, square):
@@ -344,9 +392,17 @@ class TestLstsqAgainstNumpy:
 
 
 def test_schur_failure_is_numerical_error(monkeypatch):
-    def fails(*args, **kwargs):
-        raise np.linalg.LinAlgError("QR iteration failed")
-
-    monkeypatch.setattr(scipy.linalg, "schur", fails)
-    with pytest.raises(NumericalError, match="Schur decomposition failed"):
+    with pytest.raises(NumericalError, match="Schur decomposition failed: .*non-finite"):
+        schur(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    lapack_info(monkeypatch, "zgees", info=3)
+    with pytest.raises(NumericalError, match="Schur decomposition failed: LAPACK zgees returned info 3"):
         schur(np.eye(2))
+
+
+def test_schur_is_scipys():
+    rng = np.random.default_rng(13)
+    for dim in (1, 2, 10, 40):
+        M = random_matrix(rng, dim, dim)
+        T, Q = scipy.linalg.schur(M, output="complex")
+        got_Q, got_T = schur(M)
+        assert np.array_equal(got_Q, Q) and np.array_equal(got_T, np.triu(T))

@@ -159,7 +159,7 @@ class TestExtraction:
         for j in range(2, len(dims) + 1):
             A, B = assemble_system_ns(F, j, 2)
             for k in range(1, dims[j - 1]):
-                expected.append([lstsq_min_norm(A, B[i, k - 1]) for i in range(2)])
+                expected.append([lstsq_min_norm(A, B[i, k - 1])[0] for i in range(2)])
         assert mats.shape == (K, 2, 2)
         assert np.allclose(mats, expected, rtol=0, atol=1e-12 * np.abs(mats).max())
 

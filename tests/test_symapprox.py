@@ -83,7 +83,7 @@ class TestGeneratingMatrix:
                 [[oracle[tuple(x + y for x, y in zip(beta, g))] for beta in gm.bases.B0.tolist()] for g in gammas]
             ) * w[:, None]
             b = np.array([oracle[tuple(x + y for x, y in zip(alpha, g))] for g in gammas]) * w
-            x = lstsq_min_norm(A, b)
+            x, _ = lstsq_min_norm(A, b)
             assert np.max(np.abs(gm.G[:, col] - x)) <= 1e-13 * np.max(np.abs(x))
             assert abs(gm.column_residuals[col] - np.linalg.norm(A @ x - b)) <= 1e-13 * F.norm()
 
@@ -224,6 +224,14 @@ class TestPipeline:
         res = approx_sym(SymTensor.zeros(4, 3), 1)
         assert res.coefficients.tolist() == [0] and not res.u_ls.any()
         assert res.residual_gp == 0 and not res.refined
+
+    def test_u_ls_scales_points_by_principal_roots(self):
+        F, _, _ = gen_random_sym(6, 3, 3, 0.01, seed=4)
+        res = approx_sym(F, 3, refine=False)
+        roots = res.u_ls[:, 0]  # the points' first coordinate is 1
+        assert np.array_equal(res.u_ls, roots[:, None] * res.points)
+        assert np.allclose(roots**3, res.coefficients, rtol=1e-12, atol=0)
+        assert np.all(np.abs(np.angle(roots)) <= np.pi / 3 + 1e-12)
 
     def test_rank_validation(self):
         F, _, _ = gen_random_sym(4, 3, 2, 0.0, seed=0)
