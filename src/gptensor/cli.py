@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .experiments import bench_preset
 from .generate import NAMED_TENSORS, gen_random_ns, gen_random_sym, named_tensor
 from .linalg import NumericalError
@@ -205,7 +203,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NumericalError, np.linalg.LinAlgError, ZeroDivisionError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,11 +1,18 @@
-"""Dense complex matrix kernels: minimum-norm least squares, SVD, Schur.
+"""Dense complex matrix kernels: the only module that runs a factorization that can fail.
 
-Thin contracts over LAPACK routines so the rest of the pipeline never
-touches raw factorizations.  The least squares and the Schur decomposition
-call LAPACK directly (`zgeqrf`, `zunmqr`, `zgees`): the QR's Q is applied
-to the right-hand sides, never formed, and the residual norms are read off
-the factorization.  All functions are pure and deterministic for a fixed
-input bit pattern.
+Thin contracts over LAPACK routines, each of which raises `NumericalError`
+when its factorization fails, so the rest of the pipeline never touches raw
+factorizations or their error types:
+
+- `lstsq_min_norm`: minimum-norm least squares by `zgeqrf` and `zunmqr` (the
+  QR's Q is applied to the right-hand sides, never formed) and a `zgesdd`
+  SVD of the small R; the residual norms are read off the factorization;
+- `svd`: singular values only;
+- `schur`: complex Schur decomposition by one `zgees` call;
+- `eigh`: Hermitian eigendecomposition by one `zheevd` call;
+- `solve`: square linear system by one `zgesv` call (LU with partial pivoting).
+
+All functions are pure and deterministic for a fixed input bit pattern.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ __all__ = [
     "lstsq_min_norm",
     "svd",
     "schur",
+    "eigh",
+    "solve",
     "positive_combination",
     "draw_weights",
     "joint_eigenvalues",
@@ -54,8 +63,8 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray):
     Singular values at most DEFAULT_RCOND * sigma_max are treated as zero.  `b`
     may be a vector or a matrix of stacked right-hand sides.  A tall A is
     first reduced by the QR A = Q R of `zgeqrf`: R has A's singular values
-    and Q* b carries everything of b that A can reach, so the SVD runs on the
-    small R, and Q is applied to b by `zunmqr`, never formed.  Returns
+    and Q* b carries everything of b that A can reach, so the SVD (`zgesdd`)
+    runs on the small R, and Q is applied to b by `zunmqr`, never formed.  Returns
     (x, residual_norms), the norms ||A x - b|| per column of b (a scalar for
     a vector b), read off the factorization: the part of Q* b below R plus
     the part of the rest along the singular directions cut at
@@ -78,10 +87,11 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray):
             _check_info(info, "least-squares QR", "zunmqr")
         outside = _column_sq(B[cols:])
         A, B = np.triu(qr[:cols]), B[:cols]
-    try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"least-squares SVD did not converge: {exc}") from exc
+    if A.size:
+        U, s, Vh, info = lapack.zgesdd(A, full_matrices=0)
+        _check_info(info, "least-squares SVD", "zgesdd")
+    else:  # zgesdd rejects an empty matrix; here A has no rows
+        U, s, Vh = np.eye(0), np.zeros(0), np.zeros((0, A.shape[1]), dtype=np.complex128)
     # U is square here: A has at most as many rows as columns
     k = int(np.count_nonzero(s > DEFAULT_RCOND * s[0])) if s.size else 0
     y = U.conj().T @ B
@@ -122,6 +132,25 @@ def schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _no_sort(eigenvalue):
     """`zgees`'s selection callback; never called, since no reordering is asked for."""
+
+
+def eigh(H: np.ndarray, lower: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian H, by one LAPACK `zheevd` call.
+
+    Only the lower triangle of H is read when `lower` is set, only the upper
+    one otherwise.  The eigenvectors come back in C order, not LAPACK's column
+    order: the layout of an operand can change how a later product rounds.
+    """
+    w, v, info = lapack.zheevd(H, lower=int(lower))
+    _check_info(info, "Hermitian eigensolve", "zheevd")
+    return w, np.ascontiguousarray(v)
+
+
+def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with A X = B for a square A, by one LAPACK `zgesv` call; an exactly singular A raises."""
+    *_, X, info = lapack.zgesv(A, B)
+    _check_info(info, "linear solve", "zgesv")
+    return X
 
 
 def positive_combination(mats: np.ndarray, xi) -> np.ndarray:

@@ -22,7 +22,16 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.linalg.blas
 
-from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
+from .linalg import (
+    NumericalError,
+    draw_weights,
+    eigh,
+    joint_points,
+    lstsq_min_norm,
+    positive_combination,
+    schur,
+    solve,
+)
 from .refine import FULL_FINISH_GAIN, ApproxResult, refine_nonsym
 from .tensors import DenseTensor, khatri_rao
 
@@ -151,7 +160,7 @@ def truncated_core(Fp: DenseTensor, r: int):
             gram = scipy.linalg.blas.zherk(1.0, X.T)  # upper triangle of X^T conj(X)
             # leading eigenvector first: the core's points are scaled to a unit
             # coordinate along it
-            U = np.linalg.eigh(gram, UPLO="U")[1][:, ::-1][:, :r]
+            U = eigh(gram, lower=False)[1][:, ::-1][:, :r]
             # fixed phases, the largest entry of each column real positive: the
             # eigensolver's own phase choice would move the positive combination
             piv = U[np.argmax(np.abs(U), axis=0), np.arange(r)]
@@ -288,8 +297,8 @@ def _outside_gain(Fp: DenseTensor, factors, bases, residual: float) -> float:
         Gc = U @ (U.conj().T @ M) - M
         gamma = reduce(np.multiply, [grams[v] for v in range(m) if v != t])
         try:
-            pred += 0.5 * np.vdot(Gc.T, np.linalg.solve(gamma, Gc.T)).real
-        except np.linalg.LinAlgError:
+            pred += 0.5 * np.vdot(Gc.T, solve(gamma, Gc.T)).real
+        except NumericalError:
             return math.inf
     return 2.0 * pred / residual**2 if residual > 0 else 0.0
 

@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import draw_weights, joint_points, lstsq_min_norm, positive_combination, schur
+from .linalg import draw_weights, eigh, joint_points, lstsq_min_norm, positive_combination, schur
 from .monomials import grlex_position, power_table
 from .refine import ApproxResult, refine_sym
 from .tensors import SymTensor, _combination, _contract, _prefix_split, monomial_values, sym_combination
@@ -243,7 +243,7 @@ def solve_coefficients(F: SymTensor, points: np.ndarray):
     unit, scale = points / norms[:, None], norms**F.m
     # conj(D) @ (c F) as conj(D @ conj(c F)) for the (r, N) degree-m values D
     rhs = _contract(*split, np.conj(F.weights * F.values)).conj() / scale
-    evals, evecs = np.linalg.eigh((unit.conj() @ unit.T) ** F.m)
+    evals, evecs = eigh((unit.conj() @ unit.T) ** F.m, lower=True)
     cond = evals[-1] / evals[0] if evals[0] > 0 else np.inf
     if cond <= FIT_COND_LIMIT:
         lam = evecs @ ((evecs.conj().T @ rhs) / evals)

@@ -9,7 +9,7 @@ intent: operations return new objects and never mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,20 +28,52 @@ __all__ = [
 ]
 
 
+class _Tensor:
+    """`+` and `-` of two tensors of one kind and shape, scalar `*` and the finiteness check, for both
+    kinds; each names the field of its entries (`_ENTRIES`) and its shape-mismatch message."""
+
+    def _freeze(self, **fields):
+        """Set fields of the frozen tensor, once its entries are known finite."""
+        if not np.isfinite(fields[self._ENTRIES]).all():
+            raise ValueError("tensor entries must be finite")
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, c):
+        return replace(self, **{self._ENTRIES: getattr(self, self._ENTRIES) * c})
+
+    __rmul__ = __mul__
+
+    def _combine(self, other, op):
+        # NotImplemented for any other operand, so Python raises TypeError
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.dims != other.dims:
+            raise ValueError(self._INCOMPATIBLE.format(self, other))
+        entries = op(getattr(self, self._ENTRIES), getattr(other, self._ENTRIES))
+        return replace(self, **{self._ENTRIES: entries})
+
+
 @dataclass(frozen=True, eq=False)
-class DenseTensor:
+class DenseTensor(_Tensor):
     """Order-m complex tensor with explicit dimensions, row-major storage; compared by identity."""
 
     kind = "dense"
+    _ENTRIES = "data"
+    _INCOMPATIBLE = "incompatible dense tensors: dims {0.dims} vs {1.dims}"
     data: np.ndarray
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
         if arr.ndim < 1 or any(d < 1 for d in arr.shape):
             raise ValueError(f"invalid tensor shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor entries must be finite")
-        object.__setattr__(self, "data", arr)
+        self._freeze(data=arr)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -60,46 +92,33 @@ class DenseTensor:
     def norm(self) -> float:
         return float(np.sqrt(np.vdot(self.data, self.data).real))
 
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        return self._combine(other, np.add)
 
-    def __sub__(self, other: "DenseTensor") -> "DenseTensor":
-        return self._combine(other, np.subtract)
+@dataclass(frozen=True, eq=False)
+class SymTensor(_Tensor):
+    """Symmetric order-m tensor over C^n, one entry per power vector; compared by identity.
 
-    def __mul__(self, c) -> "DenseTensor":
-        return DenseTensor(self.data * c)
-
-    __rmul__ = __mul__
-
-    def _combine(self, other, op):
-        # NotImplemented for any other operand, so Python raises TypeError
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        if self.dims != other.dims:
-            raise ValueError(f"incompatible dense tensors: dims {self.dims} vs {other.dims}")
-        return DenseTensor(op(self.data, other.data))
-
-
-class SymTensor:
-    """Symmetric order-m tensor over C^n, stored one entry per power vector."""
+    `values` is a copy of the array given; `powers` and `weights` are the shared read-only
+    rows of `power_table(n - 1, m)`: power vectors and multi-index counts."""
 
     kind = "sym"
+    _ENTRIES = "values"
+    _INCOMPATIBLE = "incompatible symmetric tensors: ({0.n},{0.m}) vs ({1.n},{1.m})"
+    n: int
+    m: int
+    values: np.ndarray
+    nbar: int = field(init=False, repr=False)
+    powers: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, n: int, m: int, values: np.ndarray):
+    def __post_init__(self):
+        n, m = self.n, self.m
         if n < 1 or m < 1:
             raise ValueError(f"invalid (n, m) = ({n}, {m})")
-        self.n = n
-        self.m = m
-        self.nbar = n - 1
-        # shared read-only rows of `power_table(n - 1, m)`: power vectors and multi-index counts
-        self.powers, self.weights = power_table(self.nbar, m)
-        self.values = np.array(values, dtype=np.complex128)
-        if self.values.shape != (len(self.powers),):
-            raise ValueError(
-                f"expected {len(self.powers)} entries for n={n}, m={m}, got shape {self.values.shape}"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValueError("tensor entries must be finite")
+        powers, weights = power_table(n - 1, m)
+        values = np.array(self.values, dtype=np.complex128)
+        if values.shape != (len(powers),):
+            raise ValueError(f"expected {len(powers)} entries for n={n}, m={m}, got shape {values.shape}")
+        self._freeze(values=values, nbar=n - 1, powers=powers, weights=weights)
 
     @property
     def order(self) -> int:
@@ -162,27 +181,6 @@ class SymTensor:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self._combine(other, np.subtract)
-
-    def __mul__(self, c) -> "SymTensor":
-        return SymTensor(self.n, self.m, self.values * c)
-
-    __rmul__ = __mul__
-
-    def _combine(self, other, op):
-        # NotImplemented for any other operand, so Python raises TypeError
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        if (self.n, self.m) != (other.n, other.m):
-            raise ValueError(
-                f"incompatible symmetric tensors: ({self.n},{self.m}) vs ({other.n},{other.m})"
-            )
-        return SymTensor(self.n, self.m, op(self.values, other.values))
 
 
 def _dense_positions(n: int, m: int) -> np.ndarray:

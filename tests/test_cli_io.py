@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gptensor import cli, experiments, tensorio
 from gptensor.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
+from gptensor.linalg import NumericalError
 from gptensor.monomials import grlex_position
 from gptensor.nonsymapprox import approx_nonsym, reconstruct_ns
 from gptensor.symapprox import approx_sym, reconstruct_sym
@@ -87,6 +88,17 @@ def outcome(read, path):
 
 def _fail_parse_entry(*args):
     raise AssertionError("the line loop ran on a valid file")
+
+
+def fail_lapack(monkeypatch, module, name):
+    """Make the LAPACK wrapper `module.<name>` return info 1 in place of its own."""
+    real = getattr(module, name)
+
+    def fails(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(module, name, fails)
 
 
 # tokens for fuzzed entry lines: mostly valid, plus syntax only Python accepts
@@ -820,22 +832,30 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "module,name",
-        [(np.linalg, "svd"), (scipy.linalg.lapack, "zgeqrf"), (scipy.linalg.lapack, "zunmqr"), (scipy.linalg.lapack, "zgees")],
+        [(scipy.linalg.lapack, name) for name in ("zgesdd", "zgeqrf", "zunmqr", "zgees")],
     )
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch, capsys, module, name):
         tns = str(tmp_path / "t.tns")
         main(["gen", "--kind", "sym", "--dims", "5,3", "--rank", "2", "-o", tns])
-        real = getattr(module, name)
-
-        def fails(*args, **kwargs):
-            if module is np.linalg:
-                raise np.linalg.LinAlgError("did not converge")
-            *out, _ = real(*args, **kwargs)
-            return (*out, 1)  # a nonzero LAPACK info
-
-        monkeypatch.setattr(module, name, fails)
+        fail_lapack(monkeypatch, module, name)
         assert main(["approx-sym", "--rank", "2", tns]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind,dims,solver", [("sym", "5,3", approx_sym), ("ns", "5,4,3", approx_nonsym)], ids=["fit", "core"]
+    )
+    def test_failed_eigensolve_exits_3(self, tmp_path, monkeypatch, capsys, kind, dims, solver):
+        # the symmetric coefficient fit and the dense Tucker core each run a Hermitian eigensolve
+        tns = str(tmp_path / "t.tns")
+        main(["gen", "--kind", kind, "--dims", dims, "--rank", "2", "-o", tns])
+        fail_lapack(monkeypatch, scipy.linalg.lapack, "zheevd")
+        command = "approx-sym" if kind == "sym" else "approx-ns"
+        assert main([command, "--rank", "2", tns]) == EXIT_NUMERICAL
+        assert "numerical failure: Hermitian eigensolve failed" in capsys.readouterr().err
+        with pytest.raises(Exception, match="LAPACK zheevd returned info 1") as failure:
+            solver(read_tensor(tns), 2)
+        # a numerical failure, not a precondition one
+        assert isinstance(failure.value, NumericalError) and not isinstance(failure.value, ValueError)
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL) == (0, 2, 3)

@@ -6,10 +6,12 @@ from gptensor.linalg import (
     DEFAULT_RCOND,
     NumericalError,
     draw_weights,
+    eigh,
     joint_eigenvalues,
     lstsq_min_norm,
     positive_combination,
     schur,
+    solve,
     svd,
 )
 
@@ -376,18 +378,15 @@ class TestLstsqAgainstNumpy:
         assert np.allclose(lstsq_min_norm(square, np.ones(3))[0], 1.0)  # no QR for a square A
 
     def test_factorization_failures_are_numerical_errors(self, monkeypatch):
-        def fails(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
-
         tall, square = np.ones((5, 2)), np.eye(3)
         lapack_info(monkeypatch, "zgeqrf")
         with pytest.raises(NumericalError, match="QR"):
             lstsq_min_norm(tall, np.ones(5))
         assert np.allclose(lstsq_min_norm(square, np.ones(3))[0], 1.0)  # no QR for a square A
         monkeypatch.undo()
-        monkeypatch.setattr(np.linalg, "svd", fails)
+        lapack_info(monkeypatch, "zgesdd")
         for A in (tall, square):
-            with pytest.raises(NumericalError, match="SVD did not converge"):
+            with pytest.raises(NumericalError, match="least-squares SVD failed: LAPACK zgesdd returned info 1"):
                 lstsq_min_norm(A, np.ones(len(A)))
 
 
@@ -406,3 +405,48 @@ def test_schur_is_scipys():
         T, Q = scipy.linalg.schur(M, output="complex")
         got_Q, got_T = schur(M)
         assert np.array_equal(got_Q, Q) and np.array_equal(got_T, np.triu(T))
+
+
+class TestEigh:
+    @pytest.mark.parametrize("dim", [1, 2, 10, 40])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_reads_one_triangle(self, dim, lower):
+        rng = np.random.default_rng(dim)
+        X = random_matrix(rng, dim + 3, dim)
+        H = X.conj().T @ X
+        w, v = eigh(H, lower=lower)
+        assert np.all(np.diff(w) >= 0) and v.flags.c_contiguous
+        assert np.allclose(H @ v, v * w, rtol=0, atol=1e-12 * w[-1])
+        assert np.allclose(v.conj().T @ v, np.eye(dim), rtol=0, atol=1e-13)
+        want = np.linalg.eigvalsh(H)
+        assert np.allclose(w, want, rtol=0, atol=1e-13 * want[-1])
+        # the other triangle is never read
+        unread = np.tri(dim, k=-1, dtype=bool)  # strictly lower
+        w2, v2 = eigh(np.where(unread.T if lower else unread, np.nan, H), lower=lower)
+        assert np.array_equal(w2, w) and np.array_equal(v2, v)
+
+    def test_failure_is_numerical_error(self, monkeypatch):
+        lapack_info(monkeypatch, "zheevd", info=4)
+        for lower in (True, False):
+            with pytest.raises(NumericalError, match="Hermitian eigensolve failed: LAPACK zheevd returned info 4"):
+                eigh(np.eye(3), lower=lower)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("dim,nrhs", [(1, 1), (4, 2), (30, 7)])
+    def test_solves(self, dim, nrhs):
+        rng = np.random.default_rng(dim + nrhs)
+        A, B = random_matrix(rng, dim, dim), random_matrix(rng, dim, nrhs)
+        X = solve(A, B)
+        assert X.shape == B.shape
+        assert np.allclose(A @ X, B, rtol=0, atol=1e-12 * np.linalg.cond(A) * np.abs(B).max())
+
+    def test_singular_is_numerical_error(self):
+        # two equal columns: the second pivot of the LU is exactly zero
+        with pytest.raises(NumericalError, match="linear solve failed: LAPACK zgesv returned info 2"):
+            solve(np.array([[1.0, 1.0], [2.0, 2.0]]), np.ones((2, 1)))
+
+    def test_failure_is_numerical_error(self, monkeypatch):
+        lapack_info(monkeypatch, "zgesv", info=-1)
+        with pytest.raises(NumericalError, match="linear solve failed: LAPACK zgesv returned info -1"):
+            solve(np.eye(2), np.ones((2, 1)))

@@ -482,6 +482,30 @@ class TestCorePolish:
             drop = 0.5 * (lifted**2 - finished**2)
             assert abs(pred - drop) <= 0.1 * drop
 
+    def test_singular_gamma_takes_the_full_size_finish(self, monkeypatch):
+        # every mode of (5, 4, 3) is compressed at r = 2, onto its first two coordinates;
+        # the two terms' vectors agree in modes 1 and 2 and differ only in mode 3, so
+        # Gamma_3, the Hadamard product of the Grams of modes 1 and 2, is 4 in every
+        # entry: small integers, so its LU meets an exactly zero pivot
+        rng = np.random.default_rng(8)
+        F = DenseTensor(rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3)))
+        bases = [np.eye(n, 2, dtype=complex) for n in F.dims]
+        same = [np.eye(n, 2) @ np.array([[1, 1], [1j, 1j]]) for n in F.dims[:2]]
+        factors = [*same, np.eye(3, 2, dtype=complex)]
+        assert nonsymapprox._outside_gain(F, factors, bases, 1.0) == np.inf
+        seen = []
+
+        def refine_fn(T, tuples):
+            seen.append(T)
+            return tuples, 0.5  # the core polish leaves the terms where they are
+
+        monkeypatch.setattr(nonsymapprox, "refine_nonsym", refine_fn)
+        C = DenseTensor(np.zeros((2, 2, 2)))
+        tuples = [[a[:, s] for a in factors] for s in range(2)]
+        tuples_opt, residual, gain = nonsymapprox._refine_on_core(F, F, (0, 1, 2), C, bases, tuples)
+        assert gain == np.inf and seen == [C, F] and residual == 0.5
+        assert all(np.array_equal(u, v) for ta, tb in zip(tuples, tuples_opt) for u, v in zip(ta, tb))
+
     def test_recip4_finish_is_not_cut_short_by_a_small_residual(self):
         # the finish reaches the optimum (9.1635094e-6 by LM from the unrefined terms),
         # though the gradient there is small in absolute terms

@@ -1,9 +1,12 @@
 """The preconditions as a contract: what `check_shape_sym` and `check_shape_ns` accept is recovered.
 
-A small box of shapes: dense order 3 with every dims in 2..6, and symmetric
-n = 2..6 with m = 2..4.  On every accepted (shape, r) an exact rank-r input
-is recovered to `residual_gp <= 1e-8 ||F||` at seeds 0-2, and the first
-rank past the accepted ones raises ValueError from the solver itself.
+A small box of shapes: dense order 3 with every dims in 2..6, dense order 4
+with dims in 2..5 taken in non-increasing order (the solver moves the largest
+mode first, so that order is the only one it sees), and symmetric n = 2..6
+with m = 2..5.  On every accepted (shape, r) an exact rank-r input is
+recovered to `residual_gp <= 1e-8 ||F||` at seeds 0-2, and the first rank
+past the accepted ones raises ValueError from the solver itself, and exit
+code 2 from the command line for a few shapes.
 """
 
 import itertools
@@ -11,6 +14,7 @@ import math
 
 import pytest
 
+from gptensor.cli import EXIT_PRECONDITION, main
 from gptensor.generate import gen_random_ns, gen_random_sym
 from gptensor.nonsymapprox import approx_nonsym, check_shape_ns
 from gptensor.symapprox import approx_sym, check_shape_sym
@@ -29,13 +33,22 @@ def accepted_ranks(check, shape, top):
     raise AssertionError(f"{shape} accepts rank {top + 1}, past the bound")
 
 
-SYM_SHAPES = [(n, m) for n in range(2, 7) for m in range(2, 5)]
+def sym_ranks(n, m):
+    return accepted_ranks(check_shape_sym, (n, m), math.comb(n - 1 + m, m))
+
+
+def dense_ranks(dims):
+    return accepted_ranks(lambda *a: check_shape_ns(a[:-1], a[-1]), dims, max(dims))
+
+
+SYM_SHAPES = [(n, m) for n in range(2, 7) for m in range(2, 6)]
 DENSE_SHAPES = list(itertools.product(range(2, 7), repeat=3))
+DENSE_SHAPES += [d for d in itertools.product(range(5, 1, -1), repeat=4) if list(d) == sorted(d, reverse=True)]
 
 
 @pytest.mark.parametrize("n,m", SYM_SHAPES, ids=[f"{n}-{m}" for n, m in SYM_SHAPES])
 def test_sym_accepted_ranks_are_recovered(n, m):
-    ranks, rejected = accepted_ranks(check_shape_sym, (n, m), math.comb(n - 1 + m, m))
+    ranks, rejected = sym_ranks(n, m)
     assert ranks, f"({n},{m}) accepts no rank"
     for r in ranks:
         for seed in SEEDS:
@@ -49,7 +62,7 @@ def test_sym_accepted_ranks_are_recovered(n, m):
 
 @pytest.mark.parametrize("dims", DENSE_SHAPES, ids=["x".join(map(str, d)) for d in DENSE_SHAPES])
 def test_dense_accepted_ranks_are_recovered(dims):
-    ranks, rejected = accepted_ranks(lambda *a: check_shape_ns(a[:-1], a[-1]), dims, max(dims))
+    ranks, rejected = dense_ranks(dims)
     assert ranks, f"{dims} accepts no rank"
     for r in ranks:
         for seed in SEEDS:
@@ -59,3 +72,17 @@ def test_dense_accepted_ranks_are_recovered(dims):
     F, _, _ = gen_random_ns(dims, 1, 0.0, 0)
     with pytest.raises(ValueError):
         approx_nonsym(F, rejected, refine=False)
+
+
+@pytest.mark.parametrize(
+    "kind,shape",
+    [("sym", (4, 3)), ("sym", (3, 5)), ("ns", (4, 3, 2)), ("ns", (5, 3, 3, 2))],
+    ids=["sym-4-3", "sym-3-5", "dense-4x3x2", "dense-5x3x3x2"],
+)
+def test_first_rejected_rank_exits_2(tmp_path, capsys, kind, shape):
+    _, rejected = sym_ranks(*shape) if kind == "sym" else dense_ranks(shape)
+    tns = str(tmp_path / "t.tns")
+    assert main(["gen", "--kind", kind, "--dims", ",".join(map(str, shape)), "--rank", "1", "-o", tns]) == 0
+    command = "approx-sym" if kind == "sym" else "approx-ns"
+    assert main([command, "--rank", str(rejected), tns]) == EXIT_PRECONDITION
+    assert capsys.readouterr().err.startswith("error: ")
