@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 precondition violation (bad arguments or input),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .experiments import bench_preset
@@ -147,7 +148,13 @@ def _cmd_paper_tensor(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    It binds only this module's `_cmd_*` and `_solve_*` functions, and those
+    look up the solvers, `read_tensor` and `write_report` when they run.
+    """
     p = argparse.ArgumentParser(
         prog="gptensor", description="Low-rank tensor approximation via generating polynomials"
     )

@@ -7,7 +7,7 @@ factorizations or their error types:
 - `lstsq_min_norm`: minimum-norm least squares by `zgeqrf` and `zunmqr` (the
   QR's Q is applied to the right-hand sides, never formed) and a `zgesdd`
   SVD of the small R; the residual norms are read off the factorization;
-- `svd`: singular values only;
+- `svd`: singular values only, by one `zgesdd` call;
 - `schur`: complex Schur decomposition by one `zgees` call;
 - `eigh`: Hermitian eigendecomposition by one `zheevd` call;
 - `solve`: square linear system by one `zgesv` call (LU with partial pivoting).
@@ -103,14 +103,18 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray):
 
 
 def svd(A: np.ndarray) -> np.ndarray:
-    """Singular values of A, nonincreasing."""
+    """Singular values of A, nonincreasing, by one values-only LAPACK `zgesdd` call.
+
+    The workspace is the one LAPACK asks for, as numpy's SVD does, so the
+    blocked code runs and the values round as numpy's do.
+    """
     A = np.asarray(A, dtype=np.complex128)
-    if A.size == 0:
-        raise ValueError("svd of an empty matrix")
-    try:
-        return np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    if A.ndim != 2 or A.size == 0:
+        raise ValueError(f"svd needs a nonempty matrix, got shape {A.shape}")
+    work, _ = lapack.zgesdd_lwork(*A.shape, compute_uv=0, full_matrices=0)
+    _, s, _, info = lapack.zgesdd(A, compute_uv=0, full_matrices=0, lwork=int(work.real))
+    _check_info(info, "SVD", "zgesdd")
+    return s
 
 
 def schur(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

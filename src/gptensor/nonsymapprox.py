@@ -300,7 +300,7 @@ def _outside_gain(Fp: DenseTensor, factors, bases, residual: float) -> float:
             pred += 0.5 * np.vdot(Gc.T, solve(gamma, Gc.T)).real
         except NumericalError:
             return math.inf
-    return 2.0 * pred / residual**2 if residual > 0 else 0.0
+    return float(2.0 * pred / residual**2) if residual > 0 else 0.0
 
 
 def _refine_on_core(F: DenseTensor, Fp: DenseTensor, perm, C: DenseTensor, bases, tuples):

@@ -181,7 +181,7 @@ def _parse_table(path, skip, offset, dtype):
 
 
 def _parse_lines(fh, count, what):
-    """Parse entry lines one by one: (int64 rows, complex values, wide).
+    """Parse entry lines one by one: (int64 rows, (re, im) pairs, wide).
 
     Reads the open file on from its header and raises FormatError for the
     first malformed entry line.  `wide` maps the rows holding an integer
@@ -198,7 +198,104 @@ def _parse_lines(fh, count, what):
         except OverflowError:
             wide[i] = ints
             rows[i] = 0
-    return rows, values, wide
+    return rows, values.view(np.float64).reshape(-1, 2), wide
+
+
+def _index_type(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0..bound: the type of a table's index fields.
+
+    A wider value makes numpy's reader reject the file, which the line loop
+    then reads, so in-range values lose nothing and the others are named as
+    the line loop names them.
+    """
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
+
+
+def _dense_positions(rows, dims):
+    """Row-major positions of the 1-based index rows and the mask of rows with an index out of range.
+
+    One int64 array is accumulated mode by mode; each narrow column is widened
+    as it is added, so no index is shifted in its own type.
+    """
+    pos = np.zeros(len(rows), dtype=np.int64)
+    bad = np.zeros(len(rows), dtype=bool)
+    for d, col in zip(dims, rows.T):
+        bad |= col < 1
+        bad |= col > d
+        pos *= d
+        pos += col
+        pos -= 1
+    return pos, bad
+
+
+def _power_positions(rows, nvars, m):
+    """`grlex_position(nvars, m, rows)` column by column, or None when some row is out of range.
+
+    The suffix sums S_k are kept in the rows' own type, which holds m: each
+    column is checked against m - S before it is added.  The grlex counts
+    take the narrowest type that holds every position, so each column's
+    gather of them, the one temporary beside the positions, is that narrow.
+    """
+    pos = np.zeros(len(rows), dtype=np.int64)
+    suffix = np.zeros(len(rows), dtype=rows.dtype)
+    # below[s, j]: number of monomials in j variables of degree < s
+    grid = [[math.comb(s - 1 + j, j) if s else 0 for j in range(nvars + 1)] for s in range(m + 1)]
+    below = np.array(grid, dtype=_index_type(math.comb(nvars + m, m)))
+    for k in reversed(range(nvars)):
+        col = rows[:, k]
+        if (col < 0).any() or (col > m - suffix).any():
+            return None
+        suffix += col
+        pos += below[:, nvars - k][suffix]
+    return pos
+
+
+def _read_entries(path):
+    """(kind, dims, flat entries) of a tensor file; see `read_tensor`."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, skip, offset = _find_header(fh)
+        kind, order, dims = _parse_header(header)
+        if kind == "sym" and len(set(dims)) != 1:
+            raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
+        count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
+        size = math.comb(dims[0] - 1 + order, order) if kind == "sym" else math.prod(dims)
+        try:
+            if size > np.iinfo(np.int64).max // 16:  # past the int64 byte offsets of 16-byte entries
+                raise MemoryError
+            flat = np.zeros(size, dtype=np.complex128)
+        except MemoryError:
+            raise FormatError(f"tensor of {size} entries is too large to store") from None
+        itype = _index_type(order if kind == "sym" else max(dims))
+        dtype = np.dtype([("i", itype, count), ("v", np.float64, 2)])
+        table = _parse_table(path, skip, offset, dtype)
+        rows, pairs, wide = _parse_lines(fh, count, what) if table is None else (table["i"], table["v"], {})
+    if kind == "sym":
+        n, m = dims[0], order
+        if wide:
+            big = next(a for a in wide[min(wide)] if not -(2**63) <= a < 2**63)
+            raise FormatError(f"power vector out of range for m={m}: exponent {big} exceeds 64 bits")
+        pos = _power_positions(rows, n - 1, m)
+        if pos is None:  # grlex_position names the first fault
+            try:
+                pos = grlex_position(n - 1, m, rows)
+            except KeyError as exc:
+                raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
+        where = "for power vector"
+    else:
+        pos, bad = _dense_positions(rows, dims)
+        if bad.any():  # name the first faulty line
+            i = int(bad.argmax())
+            raise FormatError(f"index {wide.get(i, tuple(rows[i].tolist()))} out of range for dims {dims}")
+        where = "at index"
+    seen = np.zeros(size, dtype=bool)
+    seen[pos] = True
+    if np.count_nonzero(seen) < len(pos):
+        first = np.unique(pos, return_index=True)[1]
+        repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
+        raise FormatError(f"duplicate entry {where} {tuple(rows[repeat].tolist())}")
+    # the (re, im) pairs land as they were read, so -0 parts stay -0
+    flat.view(np.float64).reshape(-1, 2)[pos] = pairs
+    return kind, dims, flat
 
 
 def read_tensor(path):
@@ -213,54 +310,15 @@ def read_tensor(path):
     first malformed line is reported, then an out-of-range entry, then the
     first line that repeats an earlier entry.  A header whose tensor cannot be
     stored is rejected before any entry is read.
+
+    numpy's table takes the narrowest index fields that hold every in-range
+    value (`_index_type`), and the positions, the duplicate check and the
+    scatter of the (re, im) pairs make no copy of the table, so a read holds
+    at most ~3.3 times the tensor's bytes.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        header, skip, offset = _find_header(fh)
-        kind, order, dims = _parse_header(header)
-        if kind == "sym" and len(set(dims)) != 1:
-            raise FormatError(f"symmetric tensor requires cubic dims, got {dims}")
-        count, what = (dims[0] - 1, "exponents") if kind == "sym" else (order, "indices")
-        size = math.comb(dims[0] - 1 + order, order) if kind == "sym" else math.prod(dims)
-        try:
-            if size > np.iinfo(np.int64).max // 16:  # past the int64 byte offsets of 16-byte entries
-                raise MemoryError
-            flat = np.zeros(size, dtype=np.complex128)
-        except MemoryError:
-            raise FormatError(f"tensor of {size} entries is too large to store") from None
-        dtype = np.dtype([("i", np.int64, count), ("v", np.float64, 2)])
-        table = _parse_table(path, skip, offset, dtype)
-        if table is None:
-            rows, values, wide = _parse_lines(fh, count, what)
-        else:
-            # a view of the (re, im) pairs, not re + 1j * im, which turns -0 parts into +0
-            rows, values, wide = table["i"], np.ascontiguousarray(table["v"]).view(np.complex128).ravel(), {}
-    if kind == "sym":
-        n, m = dims[0], order
-        if wide:
-            big = next(a for a in wide[min(wide)] if not -(2**63) <= a < 2**63)
-            raise FormatError(f"power vector out of range for m={m}: exponent {big} exceeds 64 bits")
-        try:
-            pos = grlex_position(n - 1, m, rows)
-        except KeyError as exc:
-            raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
-        where = "for power vector"
-    else:
-        index = rows - 1
-        try:
-            pos = np.ravel_multi_index(tuple(index.T), dims)  # raises for an index out of range
-        except ValueError:
-            # name the first faulty line; one unsigned comparison: an index
-            # below 0 wraps past every dimension
-            i = int((index.view(np.uint64) >= np.array(dims, dtype=np.uint64)).any(axis=1).argmax())
-            bad = wide.get(i, tuple(rows[i].tolist()))
-            raise FormatError(f"index {bad} out of range for dims {dims}") from None
-        where = "at index"
-    if np.bincount(pos, minlength=size).max() > 1:
-        first = np.unique(pos, return_index=True)[1]
-        repeat = np.setdiff1d(np.arange(len(pos)), first)[0]
-        raise FormatError(f"duplicate entry {where} {tuple(rows[repeat].tolist())}")
-    flat[pos] = values
-    return SymTensor(n, m, flat) if kind == "sym" else DenseTensor(flat.reshape(dims))
+    kind, dims, flat = _read_entries(path)
+    # the table and the positions are gone by now, so SymTensor's copy of the entries adds only 1x
+    return SymTensor(dims[0], len(dims), flat) if kind == "sym" else DenseTensor(flat.reshape(dims))
 
 
 def _vec_str(v) -> str:

@@ -58,6 +58,19 @@ def test_exact_inputs_have_rounding_level_schur_defect(exact_results, kind):
     assert diagnostics["schur_defect"] <= 1e-12 and not diagnostics["low_confidence"]
 
 
+@pytest.mark.parametrize("refine", [True, False], ids=["refined", "unrefined"])
+@pytest.mark.parametrize("case", ["sym", "dense_compressed", "dense_whole"])
+def test_diagnostics_are_python_scalars(case, refine):
+    # 10^3 at r = 5 compresses every mode before LM; 4^3 at r = 4 compresses none
+    if case == "sym":
+        res = gptensor.approx_sym(gen_random_sym(6, 3, 3, 1e-2, seed=1)[0], 3, refine=refine)
+    else:
+        dims, r = ((10, 10, 10), 5) if case == "dense_compressed" else ((4, 4, 4), 4)
+        res = gptensor.approx_nonsym(gen_random_ns(dims, r, 1e-2, seed=1)[0], r, refine=refine)
+    assert res.refined == refine
+    assert {k: type(v) for k, v in res.diagnostics.items() if type(v) not in (float, int, bool)} == {}
+
+
 def test_readme_entry_points_resolve():
     names = entry_point_names()
     assert {"approx_sym", "approx_nonsym", "run_experiment", "InstanceSpec", "parse_report"} <= names

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gptensor import cli, experiments, tensorio
@@ -296,6 +297,19 @@ class TestTensorFiles:
 
     @settings(max_examples=300, deadline=None)
     @given(text=tensor_texts())
+    # numpy's table holds indices in int8 up to a largest dimension of 127 and in
+    # int16 up to 32767, and exponents in the narrowest type that holds m; a wider
+    # value sends the file to the line loop, an in-range one is checked after it is read
+    @example(text="TENSOR v1 dense order=3 dims=4,4,4\n1 1 1 1 0\n2 128 1 -0 2\n")
+    @example(text="TENSOR v1 dense order=3 dims=4,4,4\n1 1 1 1 0\n-129 1 1 -0 2\n")
+    @example(text="TENSOR v1 dense order=3 dims=4,4,4\n1 1 1 1 0\n4 4 -128 -0 2\n")
+    @example(text="TENSOR v1 dense order=3 dims=4,4,4\n4 4 4 1 0\n127 1 1 -0 2\n")
+    @example(text="TENSOR v1 dense order=3 dims=200,2,2\n200 2 2 1 0\n32768 1 1 -0 2\n")
+    @example(text="TENSOR v1 dense order=3 dims=200,2,2\n200 2 2 1 0\n32767 1 1 -0 2\n")
+    @example(text="TENSOR v1 sym order=3 dims=3,3,3\n0 1 1 0\n128 0 -0 2\n")
+    @example(text="TENSOR v1 sym order=3 dims=3,3,3\n0 1 1 0\n127 3 -0 2\n")
+    @example(text="TENSOR v1 sym order=3 dims=3,3,3\n0 1 1 0\n0 -128 -0 2\n")
+    @example(text="TENSOR v1 sym order=3 dims=3,3,3\n0 1 1 0\n2 2 -0 2\n")
     def test_reads_like_the_line_loop(self, tmp_path_factory, text):
         path = tmp_path_factory.getbasetemp() / "fuzz.tns"
         path.write_bytes(text.encode("utf-8"))
@@ -430,6 +444,30 @@ class TestTensorFiles:
             warnings.simplefilter("error")
             t = read_tensor(path)
         assert not (t.values if isinstance(t, SymTensor) else t.data).any()
+
+    @pytest.mark.parametrize("kind", ["dense", "sym"])
+    def test_read_holds_at_most_3_3_times_the_tensor(self, tmp_path, kind):
+        # a 40^3 dense tensor and a compact (4, 70) symmetric one, ~1 MB each;
+        # the tensor itself (SymTensor's copy of its entries included) counts
+        rng = np.random.default_rng(6)
+        if kind == "dense":
+            F = DenseTensor(rng.standard_normal((40, 40, 40)) + 1j * rng.standard_normal((40, 40, 40)))
+        else:
+            size = math.comb(3 + 70, 70)
+            F = SymTensor(4, 70, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        path = tmp_path / "t.tns"
+        write_tensor(F, path)
+        entries = F.data if kind == "dense" else F.values
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = back.data if kind == "dense" else back.values
+        assert got.view(np.float64).tobytes() == entries.view(np.float64).tobytes()
+        assert peak - base <= 3.3 * entries.nbytes
 
     @pytest.mark.parametrize(
         "text",
@@ -640,6 +678,8 @@ class TestCli:
         assert calls == ["approx_sym"]
         assert main(["approx-ns", "--rank", "2", dense, "-o", rep]) == EXIT_OK
         assert calls == ["approx_sym", "approx_nonsym"]
+        # the parser that bound the subcommands is built once, before the solvers were patched
+        assert cli.build_parser() is cli.build_parser()
 
     def test_paper_tensor_and_rank_est(self, tmp_path, capsys):
         tns = str(tmp_path / "c.tns")
