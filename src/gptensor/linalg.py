@@ -105,8 +105,8 @@ def lstsq_min_norm(A: np.ndarray, b: np.ndarray):
 def svd(A: np.ndarray) -> np.ndarray:
     """Singular values of A, nonincreasing, by one values-only LAPACK `zgesdd` call.
 
-    The workspace is the one LAPACK asks for, as numpy's SVD does, so the
-    blocked code runs and the values round as numpy's do.
+    The workspace is the one LAPACK asks for, as numpy's SVD uses, so the
+    same blocked code runs.
     """
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2 or A.size == 0:

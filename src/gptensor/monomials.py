@@ -28,6 +28,7 @@ import numpy as np
 
 __all__ = [
     "grlex_position",
+    "narrowest_int",
     "multiindex_to_power",
     "multiplicity",
     "multiplicities",
@@ -35,6 +36,11 @@ __all__ = [
     "factor_table",
     "prefix_table",
 ]
+
+
+def narrowest_int(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds 0..bound (int64 past its range)."""
+    return next((np.dtype(t) for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= bound), np.dtype(np.int64))
 
 
 def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
@@ -48,10 +54,16 @@ def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
     that are larger at coordinate k - 1 and agree before it.  Suffix sums add
     over terms, so the sum is never formed.  Raises KeyError for a wrong width,
     a negative entry or a degree above m.
+
+    Terms are read in their own integer type, never copied.  S_0 is the
+    degree and S_{k+1} is S_k less column k, kept in one array of the
+    narrowest type that holds every degree; the counts C(.) take the
+    narrowest type that holds every row.  So the int64 rows are the one wide
+    array of the terms' broadcast shape.
     """
     arrays = []
     for term in terms:
-        term = np.asarray(term, dtype=np.int64)
+        term = np.asarray(term)
         if term.shape[-1:] != (nvars,):
             raise KeyError(f"power vectors of shape {term.shape} do not have {nvars} entries")
         if term.size and term.min() < 0:
@@ -60,20 +72,27 @@ def grlex_position(nvars: int, m: int, *terms) -> np.ndarray:
             raise KeyError(f"negative exponent in power vector {bad}")
         arrays.append(term)
     if any(a.size and a.max() > m for a in arrays):
-        # the int64 suffix sums of such exponents can wrap, so add the degrees as Python ints
+        # the suffix sums of such exponents can wrap, so add the degrees as Python ints
         degree = sum(a.astype(object).sum(axis=-1) for a in arrays)
         raise KeyError(f"power vector of degree {np.max(degree)} exceeds order {m}")
-    # every exponent is at most m now, so no suffix sum below can wrap
-    suffix = [np.cumsum(a[..., ::-1], axis=-1)[..., ::-1] for a in arrays]
-    # below[s, j]: number of monomials in j variables of degree < s
-    grid = [[math.comb(s - 1 + j, j) if s else 0 for j in range(nvars + 1)] for s in range(m + 1)]
-    below = np.array(grid, dtype=np.int64)
-    pos = np.zeros(np.broadcast_shapes(*(S.shape[:-1] for S in suffix)), dtype=np.int64)
+    # every exponent is at most m now, so a type that holds
+    # len(terms) * nvars * m holds every degree
+    shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    itype = narrowest_int(len(arrays) * nvars * m)
+    suffix = np.zeros(shape, dtype=itype)
+    for a in arrays:
+        suffix += a.sum(axis=-1, dtype=itype)
+    if suffix.size and suffix.max() > m:
+        raise KeyError(f"power vector of degree {int(suffix.max())} exceeds order {m}")
+    # below[j, s]: number of monomials in j variables of degree < s
+    grid = [[math.comb(s - 1 + j, j) if s else 0 for s in range(m + 1)] for j in range(nvars + 1)]
+    below = np.array(grid, dtype=narrowest_int(math.comb(nvars + m, m)))
+    pos = np.zeros(shape, dtype=np.int64)
     for k in range(nvars):
-        s = sum(S[..., k] for S in suffix)
-        if k == 0 and s.size and s.max() > m:
-            raise KeyError(f"power vector of degree {int(s.max())} exceeds order {m}")
-        pos += below[s, nvars - k]
+        # suffix holds S_k here: the degree less the exponents before coordinate k
+        pos += below[nvars - k][suffix]
+        for a in arrays:
+            suffix -= a[..., k]
     return pos
 
 

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .monomials import grlex_position
+from .monomials import grlex_position, narrowest_int
 from .tensors import DenseTensor, SymTensor
 
 __all__ = [
@@ -201,16 +201,6 @@ def _parse_lines(fh, count, what):
     return rows, values.view(np.float64).reshape(-1, 2), wide
 
 
-def _index_type(bound: int) -> np.dtype:
-    """The narrowest signed integer type that holds 0..bound: the type of a table's index fields.
-
-    A wider value makes numpy's reader reject the file, which the line loop
-    then reads, so in-range values lose nothing and the others are named as
-    the line loop names them.
-    """
-    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
-
-
 def _dense_positions(rows, dims):
     """Row-major positions of the 1-based index rows and the mask of rows with an index out of range.
 
@@ -228,28 +218,6 @@ def _dense_positions(rows, dims):
     return pos, bad
 
 
-def _power_positions(rows, nvars, m):
-    """`grlex_position(nvars, m, rows)` column by column, or None when some row is out of range.
-
-    The suffix sums S_k are kept in the rows' own type, which holds m: each
-    column is checked against m - S before it is added.  The grlex counts
-    take the narrowest type that holds every position, so each column's
-    gather of them, the one temporary beside the positions, is that narrow.
-    """
-    pos = np.zeros(len(rows), dtype=np.int64)
-    suffix = np.zeros(len(rows), dtype=rows.dtype)
-    # below[s, j]: number of monomials in j variables of degree < s
-    grid = [[math.comb(s - 1 + j, j) if s else 0 for j in range(nvars + 1)] for s in range(m + 1)]
-    below = np.array(grid, dtype=_index_type(math.comb(nvars + m, m)))
-    for k in reversed(range(nvars)):
-        col = rows[:, k]
-        if (col < 0).any() or (col > m - suffix).any():
-            return None
-        suffix += col
-        pos += below[:, nvars - k][suffix]
-    return pos
-
-
 def _read_entries(path):
     """(kind, dims, flat entries) of a tensor file; see `read_tensor`."""
     with open(path, encoding="utf-8", newline="") as fh:
@@ -265,7 +233,10 @@ def _read_entries(path):
             flat = np.zeros(size, dtype=np.complex128)
         except MemoryError:
             raise FormatError(f"tensor of {size} entries is too large to store") from None
-        itype = _index_type(order if kind == "sym" else max(dims))
+        # the narrowest index fields that hold every in-range value: a wider
+        # value makes numpy's reader reject the file, which the line loop
+        # then reads and names as it names any fault
+        itype = narrowest_int(order if kind == "sym" else max(dims))
         dtype = np.dtype([("i", itype, count), ("v", np.float64, 2)])
         table = _parse_table(path, skip, offset, dtype)
         rows, pairs, wide = _parse_lines(fh, count, what) if table is None else (table["i"], table["v"], {})
@@ -274,12 +245,10 @@ def _read_entries(path):
         if wide:
             big = next(a for a in wide[min(wide)] if not -(2**63) <= a < 2**63)
             raise FormatError(f"power vector out of range for m={m}: exponent {big} exceeds 64 bits")
-        pos = _power_positions(rows, n - 1, m)
-        if pos is None:  # grlex_position names the first fault
-            try:
-                pos = grlex_position(n - 1, m, rows)
-            except KeyError as exc:
-                raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
+        try:
+            pos = grlex_position(n - 1, m, rows)
+        except KeyError as exc:
+            raise FormatError(f"power vector out of range for m={m}: {exc.args[0]}") from exc
         where = "for power vector"
     else:
         pos, bad = _dense_positions(rows, dims)
@@ -312,9 +281,11 @@ def read_tensor(path):
     stored is rejected before any entry is read.
 
     numpy's table takes the narrowest index fields that hold every in-range
-    value (`_index_type`), and the positions, the duplicate check and the
-    scatter of the (re, im) pairs make no copy of the table, so a read holds
-    at most ~3.3 times the tensor's bytes.
+    value (`narrowest_int`), and the positions, the duplicate check and the
+    scatter of the (re, im) pairs make no copy of the table.  So a file that
+    lists every entry is read in about (40 + c*w)/16 times the tensor's
+    bytes, for c index fields of w bytes each (a few tenths more for the
+    narrow temporaries), and in no less than the byte scan's ~2 MiB.
     """
     kind, dims, flat = _read_entries(path)
     # the table and the positions are gone by now, so SymTensor's copy of the entries adds only 1x

@@ -99,6 +99,22 @@ def test_grlex_position_matches_enumeration(nvars, m):
         grlex_position(nvars, m, big, big)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8])
+def test_grlex_position_reads_narrow_terms(dtype):
+    # order 127: every exponent fits int8, but degrees and suffix sums need not
+    nvars, m = 2, 127
+    table = power_table(nvars, m)[0]
+    assert np.array_equal(grlex_position(nvars, m, table.astype(dtype)), np.arange(len(table)))
+    half = table[table.sum(axis=1) <= 63]
+    got = grlex_position(nvars, m, half.astype(dtype)[:, None], half.astype(dtype)[None])
+    assert got.dtype == np.int64
+    assert np.array_equal(got, grlex_position(nvars, m, half[:, None], half[None]))
+    with pytest.raises(KeyError, match="degree 200 exceeds order 127"):
+        grlex_position(nvars, m, np.array([[100, 100]], dtype=dtype))
+    with pytest.raises(KeyError, match="degree 254 exceeds order 127"):
+        grlex_position(nvars, m, np.array([[127, 0]], dtype=dtype), np.array([[0, 127]], dtype=dtype))
+
+
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_grlex_position_sum_gather_matches_dict_oracle(nvars, m):
