@@ -46,7 +46,7 @@ def _meta(F) -> dict:
 
 
 def _solve_sym(F, args):
-    """approx-sym's solve, its [result] extras and one report block per term."""
+    """approx-sym's solve and one report block per term."""
     if F.kind != "sym":
         raise ValueError("approx-sym requires a symmetric tensor file")
     res = approx_sym(F, args.rank, refine=not args.no_refine, seed=args.seed)
@@ -54,7 +54,7 @@ def _solve_sym(F, args):
     if res.refined:
         for block, u in zip(blocks, res.u_opt):
             block["u_opt"] = u
-    return res, {"fit_cond": res.diagnostics["fit_cond"]}, blocks
+    return res, blocks
 
 
 def _solve_dense(F, args):
@@ -67,24 +67,16 @@ def _solve_dense(F, args):
     if res.refined:
         for block, tup in zip(blocks, res.tuples):
             block.update({f"gp_mode{t + 1}": v for t, v in enumerate(tup)})
-    extras = {
-        "mode_permutation": tuple(p + 1 for p in res.mode_permutation),
-        "outside_gain": res.diagnostics["outside_gain"],
-    }
-    return res, extras, blocks
+    return res, blocks
 
 
 def _cmd_approx(args) -> int:
     F = read_tensor(args.file)
-    res, extras, blocks = args.solve(F, args)
-    result = {
-        "residual_gp": res.residual_gp,
-        "refined": res.refined,
-        "xi_seed": res.diagnostics["xi_seed"],
-        **extras,
-    }
+    res, blocks = args.solve(F, args)
+    result = {"residual_gp": res.residual_gp, "refined": res.refined}
     if res.refined:
         result["residual_opt"] = res.residual_opt
+    result.update(res.diagnostics)
     sections = {"result": result, **{f"term{s}": block for s, block in enumerate(blocks)}}
     _emit_report(args.output, {**_meta(F), "rank": args.rank, "seed": args.seed}, sections)
     return EXIT_OK

@@ -74,7 +74,6 @@ class NsApproxResult(ApproxResult):
     """Dense result; `X_gp` and `X_opt` are built from the tuples on first access."""
 
     tuples: list  # r tuples of m vectors each, original mode order
-    mode_permutation: tuple[int, ...]
     tuples_opt: list | None = None
 
     @cached_property
@@ -359,11 +358,12 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
     """Rank-r approximation of a dense tensor of order >= 3.
 
     The result's tuples are reported in the original mode order;
-    `mode_permutation` records the internal reordering.  `residual_gp` is
-    computed from the factors, and the full tensors `X_gp` / `X_opt` only
-    when first read.  When `refine` is set, a local nonlinear least-squares
-    polish is kept as `tuples_opt` if it does not worsen the residual (see
-    `ApproxResult.polish`).  The polish runs on the Tucker core and finishes
+    `diagnostics["lead_mode"]` is the 1-based mode that the solve moved
+    first (`mode_permute`).  `residual_gp` is computed from the factors, and
+    the full tensors `X_gp` / `X_opt` only when first read.  When `refine` is
+    set, a local nonlinear least-squares polish is kept as `tuples_opt` if it
+    does not worsen the residual (see `ApproxResult.polishes` and
+    `ApproxResult.keep`).  The polish runs on the Tucker core and finishes
     on the full tensor only when a second-order test says it can gain there
     (`_refine_on_core`); its ratio is `diagnostics["outside_gain"]`, NaN
     when no polish ran.
@@ -383,15 +383,11 @@ def approx_nonsym(F: DenseTensor, r: int, refine: bool = True, seed: int = 0) ->
         rank=r,
         tuples=tuples,
         residual_gp=_slab_residual(F, factors),
-        mode_permutation=perm,
-        diagnostics=dict(diagnostics, xi_seed=seed, outside_gain=math.nan),
+        diagnostics=dict(diagnostics, xi_seed=seed, lead_mode=perm[0] + 1, outside_gain=math.nan),
     )
-    if refine:
-
-        def refine_on_core(F, start):
-            start_opt, residual_opt, gain = _refine_on_core(F, Fp, perm, C, bases, start)
-            result.diagnostics["outside_gain"] = gain
-            return start_opt, residual_opt
-
-        result.tuples_opt = result.polish(refine_on_core, F, tuples)
+    if refine and result.polishes(F):
+        tuples_opt, residual_opt, result.diagnostics["outside_gain"] = _refine_on_core(
+            F, Fp, perm, C, bases, tuples
+        )
+        result.tuples_opt = result.keep(tuples_opt, residual_opt)
     return result

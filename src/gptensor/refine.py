@@ -333,7 +333,7 @@ def refine_nonsym(F: DenseTensor, tuples):
 class ApproxResult:
     """Fields that both tensor kinds report, all keyword-only; results compare by identity.
 
-    `refined` says whether `polish` kept a polish of the fit (`X_gp`,
+    `refined` says whether `keep` kept a polish of the fit (`X_gp`,
     `residual_gp`); `residual_opt` and `X_opt` then hold the polish.  Each kind
     builds its `X_opt` (None unless refined) from its polished terms on first read.
     """
@@ -348,16 +348,16 @@ class ApproxResult:
     def best_residual(self) -> float:
         return self.residual_opt if self.refined else self.residual_gp
 
-    def polish(self, refine_fn, F, start):
-        """Polish `start` with `refine_fn` (refine_sym or refine_nonsym) when worthwhile.
+    def polishes(self, F) -> bool:
+        """Whether a polish is worth running: residual_gp > SKIP_REFINE_TOL * ||F||."""
+        return self.residual_gp > SKIP_REFINE_TOL * F.norm()
 
-        Skipped when residual_gp <= SKIP_REFINE_TOL * ||F||; dropped when it ends
-        worse than residual_gp beyond 1e-12.  A kept polish sets `refined` and
-        `residual_opt` and returns the polished start; otherwise None is returned.
+    def keep(self, start_opt, residual_opt):
+        """Keep a polish unless it ends worse than residual_gp beyond 1e-12.
+
+        A kept polish sets `refined` and `residual_opt` and returns `start_opt`;
+        otherwise None is returned.
         """
-        if self.residual_gp <= SKIP_REFINE_TOL * F.norm():
-            return None
-        start_opt, residual_opt = refine_fn(F, start)
         if residual_opt > self.residual_gp + 1e-12:
             return None
         self.refined, self.residual_opt = True, residual_opt

@@ -292,8 +292,8 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
 
     Runs the generating-matrix pipeline; when `refine` is set, a local
     nonlinear least-squares polish of the rank-1 terms is kept as `u_opt` if
-    it does not worsen the residual (see `ApproxResult.polish`).  `X_opt` is
-    built from `u_opt` only when first read.
+    it does not worsen the residual (see `ApproxResult.polishes` and
+    `ApproxResult.keep`).  `X_opt` is built from `u_opt` only when first read.
     """
     check_shape_sym(F.n, F.m, r)
     gm = solve_generating_matrix(F, r)
@@ -310,6 +310,6 @@ def approx_sym(F: SymTensor, r: int, refine: bool = True, seed: int = 0) -> SymA
         residual_gp=(F - X_gp).norm(),
         diagnostics=dict(diagnostics, fit_cond=fit_cond, xi_seed=seed),
     )
-    if refine:
-        result.u_opt = result.polish(refine_sym, F, u_ls)
+    if refine and result.polishes(F):
+        result.u_opt = result.keep(*refine_sym(F, u_ls))
     return result

@@ -151,6 +151,8 @@ def _numpy_readable(path, offset=0) -> bool:
                 i = chunk.find(b"#", i + 1)
             end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
             lead_blank = not chunk[end:].strip(b" \t") and (end > 0 or lead_blank)
+            # freed before the next read, so one block is alive at a time
+            del chunk
     return True
 
 
@@ -285,7 +287,7 @@ def read_tensor(path):
     scatter of the (re, im) pairs make no copy of the table.  So a file that
     lists every entry is read in about (40 + c*w)/16 times the tensor's
     bytes, for c index fields of w bytes each (a few tenths more for the
-    narrow temporaries), and in no less than the byte scan's ~2 MiB.
+    narrow temporaries), and in no less than the byte scan's one 1 MiB block.
     """
     kind, dims, flat = _read_entries(path)
     # the table and the positions are gone by now, so SymTensor's copy of the entries adds only 1x

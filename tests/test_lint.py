@@ -5,6 +5,8 @@
   names `LinAlgError`, so every such failure is a `NumericalError`.
 - Every import is used: a name an import binds is read somewhere in its
   module, or listed in the module's `__all__`.
+- The command line names no diagnostic: `cli.py` subscripts no
+  `.diagnostics`, so the report writes every key a solve records.
 """
 
 import ast
@@ -63,6 +65,17 @@ def unused_imports(tree) -> list[str]:
     return sorted(name for name in bound if name not in read)
 
 
+def diagnostics_subscripts(tree) -> list[int]:
+    """The lines of every subscript of a `.diagnostics` attribute, such as `res.diagnostics["fit_cond"]`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "diagnostics"
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_failing_factorizations_only_in_linalg(path):
     found = factorization_uses(ast.parse(path.read_text()))
@@ -72,6 +85,11 @@ def test_failing_factorizations_only_in_linalg(path):
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_cli_names_no_diagnostic():
+    path = Path(gptensor.__file__).parent / "cli.py"
+    assert diagnostics_subscripts(ast.parse(path.read_text())) == []
 
 
 def test_the_scan_sees_what_it_forbids():
@@ -95,3 +113,5 @@ except np.linalg.LinAlgError:
         "numpy.linalg.LinAlgError",
     ]
     assert unused_imports(tree) == ["LinAlgError", "la", "os"]
+    tree = ast.parse('gain = res.diagnostics["outside_gain"]\nres.diagnostics["x"] = 1\nkeys = list(res.diagnostics)\n')
+    assert diagnostics_subscripts(tree) == [1, 2]

@@ -187,7 +187,7 @@ class TestPipeline:
     def test_permuted_modes_map_back(self):
         F, _, _ = gen_random_ns((3, 7, 4), 2, 0.0, seed=6)
         res = approx_nonsym(F, 2, refine=False)
-        assert res.mode_permutation == (1, 0, 2)
+        assert res.diagnostics["lead_mode"] == 2
         assert res.residual_gp <= 1e-8 * F.norm()
         for tup in res.tuples:
             assert [len(v) for v in tup] == [3, 7, 4]

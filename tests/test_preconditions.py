@@ -7,6 +7,10 @@ with m = 2..5.  On every accepted (shape, r) an exact rank-r input is
 recovered to `residual_gp <= 1e-8 ||F||` at seeds 0-2, and the first rank
 past the accepted ones raises ValueError from the solver itself, and exit
 code 2 from the command line for a few shapes.
+
+The same box records how far stage iii is from the noise: at eps = 1e-6
+the largest kappa = `residual_gp / ||E||` (`refine=False`) of each family
+stays below a recorded bound.
 """
 
 import itertools
@@ -44,6 +48,20 @@ def dense_ranks(dims):
 SYM_SHAPES = [(n, m) for n in range(2, 7) for m in range(2, 6)]
 DENSE_SHAPES = list(itertools.product(range(2, 7), repeat=3))
 DENSE_SHAPES += [d for d in itertools.product(range(5, 1, -1), repeat=4) if list(d) == sorted(d, reverse=True)]
+
+EPS = 1e-6
+# About twice the largest kappa over seeds 0-2, which is the same at one BLAS
+# thread and at two: 0.944 at (6,2) r=1, 804 at (4,3) r=4, 345 at (6,4) r=5,
+# 8,969 at (4,5) r=9, 223 at 6x6x6 r=6 and 154 at 4x3x2x2 r=4.  A better
+# stage ii lowers these bounds; nothing may raise them.
+KAPPA_BOUNDS = {
+    "sym m=2": 2.0,
+    "sym m=3": 1600.0,
+    "sym m=4": 700.0,
+    "sym m=5": 18000.0,
+    "dense order 3": 450.0,
+    "dense order 4": 310.0,
+}
 
 
 @pytest.mark.parametrize("n,m", SYM_SHAPES, ids=[f"{n}-{m}" for n, m in SYM_SHAPES])
@@ -86,3 +104,29 @@ def test_first_rejected_rank_exits_2(tmp_path, capsys, kind, shape):
     command = "approx-sym" if kind == "sym" else "approx-ns"
     assert main([command, "--rank", str(rejected), tns]) == EXIT_PRECONDITION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def family_kappas(family):
+    """kappa of every accepted (shape, r) of the family at each seed, keyed by (shape, r, seed)."""
+    if family.startswith("sym"):
+        m = int(family.removeprefix("sym m="))
+        shapes = [(n, m) for n, k in SYM_SHAPES if k == m]
+        ranks, gen, solve = sym_ranks, gen_random_sym, approx_sym
+    else:
+        order = int(family.removeprefix("dense order "))
+        shapes = [(d,) for d in DENSE_SHAPES if len(d) == order]
+        ranks, gen, solve = dense_ranks, gen_random_ns, approx_nonsym
+    kappas = {}
+    for shape in shapes:
+        for r in ranks(*shape)[0]:
+            for seed in SEEDS:
+                F, _, _ = gen(*shape, r, EPS, seed)
+                kappas[shape, r, seed] = solve(F, r, refine=False, seed=seed).residual_gp / EPS
+    return kappas
+
+
+@pytest.mark.parametrize("family", KAPPA_BOUNDS)
+def test_kappa_record(family):
+    kappas = family_kappas(family)
+    worst = max(kappas, key=kappas.get)
+    assert kappas[worst] <= KAPPA_BOUNDS[family], (worst, kappas[worst])

@@ -391,26 +391,19 @@ class TestPolish:
     def test_polish_that_ends_worse_is_dropped(self):
         F, _, _ = gen_random_sym(4, 3, 2, 0.1, seed=11)
         start = np.ones((2, 4), dtype=complex)
-        calls = []
-
-        def refine_fn(G, u):
-            calls.append((G, u))
-            return u, residual_gp + 2e-12
-
         residual_gp = F.norm()
         result = refine.ApproxResult(rank=2, residual_gp=residual_gp)
-        assert result.polish(refine_fn, F, start) is None
-        assert calls == [(F, start)]
+        assert result.polishes(F)
+        assert result.keep(start, residual_gp + 2e-12) is None
         assert not result.refined and result.residual_opt is None
         # within 1e-12 of residual_gp the polish is kept
         result = refine.ApproxResult(rank=2, residual_gp=residual_gp)
-        assert result.polish(lambda G, u: (u, residual_gp + 5e-13), F, start) is start
+        assert result.keep(start, residual_gp + 5e-13) is start
         assert result.refined and result.residual_opt == residual_gp + 5e-13
         assert result.best_residual == residual_gp + 5e-13
         # at most SKIP_REFINE_TOL * ||F|| the polish is not even tried
         result = refine.ApproxResult(rank=2, residual_gp=refine.SKIP_REFINE_TOL * F.norm())
-        assert result.polish(refine_fn, F, start) is None
-        assert len(calls) == 1 and not result.refined
+        assert not result.polishes(F) and not result.refined
 
 
 class TestSolverCore:
